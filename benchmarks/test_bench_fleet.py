@@ -334,7 +334,7 @@ def execute_sparse_windows(functions, traffic, n_windows=SPARSE_WINDOWS, seed=97
     simulator = FleetSimulator(
         functions,
         traffic,
-        FleetConfig(window_s=WINDOW_S, seed=seed, sparse=True, **knobs),
+        FleetConfig(window_s=WINDOW_S, seed=seed, **knobs),
     )
     seconds = 0.0
     invocations = 0
@@ -642,7 +642,7 @@ def test_bench_fleet_window_memory_bounded_by_active():
     simulator = FleetSimulator(
         functions,
         traffic,
-        FleetConfig(window_s=WINDOW_S, seed=98, sparse=True),
+        FleetConfig(window_s=WINDOW_S, seed=98),
     )
 
     tracemalloc.start()

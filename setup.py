@@ -1,9 +1,9 @@
 """Setuptools shim for environments without the ``wheel`` package.
 
 ``pip install -e .`` on offline machines that lack ``wheel`` falls back to the
-legacy ``setup.py develop`` path, which this file enables.  All project
-metadata lives in ``pyproject.toml``; this shim only mirrors what the legacy
-path needs.
+legacy ``setup.py develop`` path, which this file enables.  This file is
+the project's only packaging metadata source (there is no
+``pyproject.toml``).
 """
 
 from setuptools import find_packages, setup

@@ -7,8 +7,8 @@ windows, continuously rightsized through the batch prediction API, with
 realized savings accounted against the default deployment:
 
 - :mod:`repro.fleet.simulator`  -- :class:`FleetSimulator` / windowed
-  columnar monitoring (:class:`FleetWindow`, active-rows-only
-  :class:`SparseFleetWindow`).
+  columnar monitoring (active-rows-only :class:`SparseFleetWindow`, with
+  the function-indexed :class:`FleetWindow` view from ``to_dense()``).
 - :mod:`repro.fleet.controller` -- :class:`RightsizingController` with
   warm-up, hysteresis, cooldown and rollback guardrails.
 - :mod:`repro.fleet.ledger`     -- :class:`SavingsLedger`, the longitudinal

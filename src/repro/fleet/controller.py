@@ -10,9 +10,10 @@ be undone.
 :class:`RightsizingController` implements that loop over the windows produced
 by :class:`~repro.fleet.simulator.FleetSimulator`:
 
-1. **Observe** — every window's per-function stat rows are merged into
-   running accumulators with a vectorized pooled mean/variance update
-   (:func:`merge_stat_blocks`); no per-function Python loops.
+1. **Observe** — every window's active stat rows are merged into running
+   accumulators with a vectorized pooled mean/variance update
+   (:func:`merge_stat_blocks`); no per-function Python loops, and idle
+   functions cost nothing.
 2. **Decide** — functions observed long enough at a size with a trained
    model are batch-predicted through
    :meth:`~repro.core.predictor.SizelessPredictor.recommend_table`: one
@@ -38,7 +39,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.predictor import SizelessPredictor
 from repro.dataset.table import MeasurementTable
-from repro.fleet.simulator import FleetSimulator, FleetWindow, SparseFleetWindow
+from repro.fleet.simulator import FleetSimulator, SparseFleetWindow
 from repro.monitoring.aggregation import STAT_NAMES, merge_stat_blocks
 from repro.monitoring.metrics import METRIC_NAMES
 
@@ -193,37 +194,28 @@ class RightsizingController:
         self._windows_observed[indices] = 0
 
     # ---------------------------------------------------------------- observe
-    def _observe(self, window: FleetWindow | SparseFleetWindow) -> None:
-        """Merge one window into the running accumulators (vectorized).
+    def _observe(self, window: SparseFleetWindow) -> None:
+        """Merge one window's active rows into the running accumulators.
 
-        Sparse windows merge only their active rows — because zero-count
-        sides of :func:`merge_stat_blocks` pass the populated side through
-        untouched, this is bit-identical to the dense merge while costing
-        O(active) instead of O(fleet).
+        Idle functions have no row in the window and keep their
+        accumulators untouched, so the merge costs O(active), not O(fleet).
         """
-        if isinstance(window, SparseFleetWindow):
-            rows = window.active
-            merged, counts = merge_stat_blocks(
-                self._acc_stats[rows],
-                self._acc_counts[rows],
-                window.stats,
-                window.n_invocations,
-            )
-            self._acc_stats[rows] = merged
-            self._acc_counts[rows] = counts
-            self._acc_cost[rows] += window.cost_usd
-            self._windows_observed[rows] += window.n_invocations > 0
-        else:
-            self._acc_stats, self._acc_counts = merge_stat_blocks(
-                self._acc_stats, self._acc_counts, window.stats, window.n_invocations
-            )
-            self._acc_cost += window.cost_usd
-            self._windows_observed += window.n_invocations > 0
+        rows = window.active
+        merged, counts = merge_stat_blocks(
+            self._acc_stats[rows],
+            self._acc_counts[rows],
+            window.stats,
+            window.n_invocations,
+        )
+        self._acc_stats[rows] = merged
+        self._acc_counts[rows] = counts
+        self._acc_cost[rows] += window.cost_usd
+        self._windows_observed[rows] += window.n_invocations > 0
         np.maximum(self._cooldown - 1, 0, out=self._cooldown)
 
     # --------------------------------------------------------------- rollback
     def _check_rollbacks(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: SparseFleetWindow
     ) -> list[ResizeEvent]:
         """Evaluate resized functions and revert realized regressions."""
         events: list[ResizeEvent] = []
@@ -289,7 +281,7 @@ class RightsizingController:
         )
 
     def _decide(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: SparseFleetWindow
     ) -> list[ResizeEvent]:
         """Batch-predict eligible cohorts and apply guarded resizes."""
         events: list[ResizeEvent] = []
@@ -346,7 +338,7 @@ class RightsizingController:
 
     # ------------------------------------------------------------------- step
     def step(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: SparseFleetWindow
     ) -> list[ResizeEvent]:
         """Process one monitoring window: observe, roll back, decide.
 

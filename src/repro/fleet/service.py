@@ -4,7 +4,7 @@ One :class:`FleetRightsizingService` wires the three fleet components into
 the continuous loop of the paper's online phase, extended from one function
 to a whole production fleet::
 
-    traffic ──> FleetSimulator.run_window() ──> FleetWindow (columnar stats)
+    traffic ──> FleetSimulator.run_window() ──> SparseFleetWindow (active rows)
                       ▲                                │
                       │ resize()                       ▼
                 RightsizingController.step() <── batch predict + guardrails
@@ -12,14 +12,14 @@ to a whole production fleet::
                       ▼
                 SavingsLedger.observe() ──> realized savings vs default
 
-Each iteration holds only one window's arrays, so a multi-day run over
-thousands of functions is bounded by one window's statistics plus the
-fleet's deployment state (asserted by ``benchmarks/test_bench_fleet.py``).
-With ``FleetConfig(sparse=True)`` the windows flowing through the loop are
-:class:`~repro.fleet.simulator.SparseFleetWindow` instances — the controller
-and the ledger both consume them natively, so at fleet scale (10^5–10^6
-mostly-idle functions) each iteration is bounded by the *active* function
-count instead.
+Each iteration holds only one window's arrays, so a multi-day run is
+bounded by one window's statistics plus the fleet's deployment state
+(asserted by ``benchmarks/test_bench_fleet.py``).  The windows flowing
+through the loop are :class:`~repro.fleet.simulator.SparseFleetWindow`
+instances holding rows only for active functions, and the controller and
+the ledger touch only those rows, so at fleet scale (10^5–10^6 mostly idle
+functions) each iteration's statistics work is bounded by the *active*
+function count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.predictor import SizelessPredictor
 from repro.fleet.controller import ControllerConfig, ResizeEvent, RightsizingController
-from repro.fleet.ledger import SavingsLedger
+from repro.fleet.ledger import SavingsLedger, WindowAccount
 from repro.fleet.simulator import FleetSimulator
 
 
@@ -107,7 +107,7 @@ class FleetRightsizingService:
             else SavingsLedger(default_memory_mb=simulator.config.default_memory_mb)
         )
 
-    def run_window(self) -> tuple[list[ResizeEvent], object]:
+    def run_window(self) -> tuple[list[ResizeEvent], WindowAccount]:
         """Advance the loop by one window; returns (events, window account).
 
         The controller and ledger stages book their wall time into the
@@ -128,7 +128,7 @@ class FleetRightsizingService:
     def run(
         self,
         n_windows: int,
-        progress_callback: Callable[[int, int, object], None] | None = None,
+        progress_callback: Callable[[int, int, WindowAccount], None] | None = None,
     ) -> FleetRunReport:
         """Run the service loop for ``n_windows`` monitoring windows.
 

@@ -10,37 +10,36 @@ memory size, serving time-varying traffic around the clock.
 fleet on one :class:`~repro.simulation.platform.ServerlessPlatform`, assigns
 every function a :class:`~repro.workloads.traffic.TrafficModel`, and advances
 virtual time in fixed monitoring windows.  By default each :meth:`run_window`
-call executes the whole fleet as **one fused cross-function mega-batch**
-(:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`): every
-function's window arrivals are flattened into single columnar arrays with a
-group-id structure and reduced straight to the dense
-``(n_functions, n_metrics, n_stats)`` window stats with segmented reductions
-— no per-function batches, no per-summary objects.  With ``fused=False`` the
+call executes the window's active functions as **one fused cross-function
+mega-batch** (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`):
+their window arrivals are flattened into single columnar arrays with a
+group-id structure and reduced straight to per-function
+``(n_metrics, n_stats)`` stat rows with segmented reductions — no
+per-function batches, no per-summary objects.  With ``fused=False`` the
 simulator issues one engine batch per function instead (the looped reference
 path, bit-identical because every (function, window) pair owns private
 traffic and noise streams spawned via :mod:`repro.simulation.seeding`).  The
-result is one :class:`FleetWindow` of dense per-function monitoring arrays,
-which the rightsizing controller (:mod:`repro.fleet.controller`) consumes.
+result is one :class:`SparseFleetWindow` holding rows only for the window's
+active functions, which the rightsizing controller
+(:mod:`repro.fleet.controller`) and the savings ledger consume;
+:meth:`SparseFleetWindow.to_dense` gives the function-indexed
+:class:`FleetWindow` view.
 
 Memory stays bounded by one window: batch columns are transient, per-function
 records are discarded from the platform log after aggregation, and the
 simulator retains only the fleet's current deployment state.
 
 At platform scale (10^5–10^6 functions, mostly idle under diurnal traffic)
-three compounding levers make :meth:`FleetSimulator.run_window` scale with
-*active, distinct* work instead of fleet size:
+:meth:`FleetSimulator.run_window` scales with *active, distinct* work
+instead of fleet size:
 
 - **Fused traffic sampling** (``traffic_mode="fused"``, the default) — one
   window draws the whole fleet's arrivals from a single stream via
   :class:`~repro.workloads.traffic.FleetTrafficSchedule`: one Poisson draw,
   one rate-matrix evaluation, one thinning pass, instead of one Python
   ``arrivals()`` call per function.  Engine groups are then built only for
-  functions with >0 arrivals; idle functions cost O(1) bookkeeping.
-- **Sparse windows** (``sparse=True``) — the window result itself is a
-  :class:`SparseFleetWindow` holding rows only for active functions, so
-  per-window memory is bounded by the active count, not the fleet size.
-  ``sparse=False`` (the default) scatters the same rows into the dense
-  :class:`FleetWindow`, bit-identically.
+  functions with >0 arrivals, and the window result holds rows only for
+  them; idle functions cost O(1) bookkeeping.
 - **Cohort deduplication** (``cohort_mode="statistical"``) — active
   functions sharing (profile, memory size, mean-rate bucket) execute one
   representative group; members receive the representative's stat block
@@ -142,11 +141,6 @@ class FleetConfig:
         its own spawned stream (the pre-sparse behaviour).  Both are
         deterministic in the seed; the two modes draw *different* (equally
         valid) arrival realizations of the same processes.
-    sparse:
-        Return :class:`SparseFleetWindow` results holding rows only for the
-        window's active functions (memory bounded by the active count).  The
-        default ``False`` scatters the same rows into the dense
-        :class:`FleetWindow` — the two representations are bit-identical.
     cohort_mode:
         ``"off"`` (default) executes every active function — the exactness
         escape hatch: per-function noise streams force per-function draws,
@@ -195,7 +189,6 @@ class FleetConfig:
     seed: int = 0
     fused: bool = True
     traffic_mode: str = "fused"
-    sparse: bool = False
     cohort_mode: str = "off"
     cohort_rate_buckets_per_decade: int = 2
     window_shard_size: int | None = None
@@ -251,7 +244,10 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class FleetWindow:
-    """Columnar monitoring result of one fleet window.
+    """Function-indexed view of one fleet window.
+
+    Built by :meth:`SparseFleetWindow.to_dense` for callers that want to
+    index a window by function; the simulator itself returns sparse windows.
 
     Attributes
     ----------
@@ -310,13 +306,13 @@ class FleetWindow:
 class SparseFleetWindow:
     """Active-rows-only monitoring result of one fleet window.
 
-    Same numbers as the dense :class:`FleetWindow` representation —
-    :meth:`to_dense` scatters the rows back bit-identically — but the
-    stat/count/cost columns hold rows only for the window's *active*
+    The stat/count/cost columns hold rows only for the window's *active*
     functions, so per-window memory is bounded by the active count rather
-    than the fleet size.  ``memory_mb`` stays dense: the controller and the
-    savings ledger need every function's deployed size, and one integer per
-    function is the O(fleet) bookkeeping floor the simulator already pays.
+    than the fleet size; :meth:`to_dense` scatters them into the
+    function-indexed :class:`FleetWindow` view.  ``memory_mb`` stays dense:
+    the controller and the savings ledger need every function's deployed
+    size, and one integer per function is the O(fleet) bookkeeping floor
+    the simulator already pays.
 
     Attributes
     ----------
@@ -754,7 +750,7 @@ class FleetSimulator:
         self.profiler.add("reduce", perf_counter() - tick)
         return active, stats_k, ninv_k, cold_k, cost_k
 
-    def run_window(self) -> FleetWindow | SparseFleetWindow:
+    def run_window(self) -> SparseFleetWindow:
         """Simulate the next monitoring window for the whole fleet.
 
         Arrivals are sampled for the fleet first; only functions with >0
@@ -765,8 +761,7 @@ class FleetSimulator:
         active function's arrivals run as their own engine batch, and with
         ``window_shard_size`` set the groups execute in bounded shards.
         All execution paths are bit-identical under the same traffic mode.
-        Functions without traffic produce zero rows in the dense result
-        (``sparse=False``) or no row at all in the sparse one.
+        Functions without traffic get no row in the result.
         """
         start_s = self._clock_s
         end_s = start_s + self.config.window_s
@@ -775,46 +770,20 @@ class FleetSimulator:
         self.profiler.add("traffic", perf_counter() - tick)
         active, stats_k, ninv_k, cold_k, cost_k = self._execute_active(arrivals)
         tick = perf_counter()
-        n_arrivals_k = arrivals.counts()[active]
-        index = self._window_index
+        window = SparseFleetWindow(
+            index=self._window_index,
+            start_s=start_s,
+            end_s=end_s,
+            memory_mb=self._memory_mb.copy(),
+            active=active,
+            stats=stats_k,
+            n_invocations=ninv_k,
+            n_arrivals=arrivals.counts()[active],
+            n_cold_starts=cold_k,
+            cost_usd=cost_k,
+        )
         self._clock_s = end_s
         self._window_index += 1
-        if self.config.sparse:
-            window: FleetWindow | SparseFleetWindow = SparseFleetWindow(
-                index=index,
-                start_s=start_s,
-                end_s=end_s,
-                memory_mb=self._memory_mb.copy(),
-                active=active,
-                stats=stats_k,
-                n_invocations=ninv_k,
-                n_arrivals=n_arrivals_k,
-                n_cold_starts=cold_k,
-                cost_usd=cost_k,
-            )
-        else:
-            n = self.n_functions
-            stats = np.zeros((n, len(METRIC_NAMES), len(STAT_NAMES)), dtype=float)
-            n_invocations = np.zeros(n, dtype=np.int64)
-            n_arrivals = np.zeros(n, dtype=np.int64)
-            n_cold = np.zeros(n, dtype=np.int64)
-            cost = np.zeros(n, dtype=float)
-            stats[active] = stats_k
-            n_invocations[active] = ninv_k
-            n_arrivals[active] = n_arrivals_k
-            n_cold[active] = cold_k
-            cost[active] = cost_k
-            window = FleetWindow(
-                index=index,
-                start_s=start_s,
-                end_s=end_s,
-                memory_mb=self._memory_mb.copy(),
-                stats=stats,
-                n_invocations=n_invocations,
-                n_arrivals=n_arrivals,
-                n_cold_starts=n_cold,
-                cost_usd=cost,
-            )
         self.profiler.add("reduce", perf_counter() - tick)
         self.profiler.count_window()
         return window

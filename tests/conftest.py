@@ -21,6 +21,13 @@ from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's custom markers."""
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A deterministic random generator."""

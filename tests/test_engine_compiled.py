@@ -56,6 +56,7 @@ def _functions(n, seed=11, prefix="cmp"):
 
 def assert_windows_equal(a, b):
     """Bit-identical window comparison (cost compared to float tolerance)."""
+    np.testing.assert_array_equal(a.active, b.active)
     np.testing.assert_array_equal(a.stats, b.stats)
     np.testing.assert_array_equal(a.n_invocations, b.n_invocations)
     np.testing.assert_array_equal(a.n_arrivals, b.n_arrivals)
@@ -333,6 +334,7 @@ class TestFloat32Mode:
         base = self._windows(backend="compiled")
         f32 = self._windows(backend="compiled", dtype="float32")
         for wa, wb in zip(base, f32):
+            np.testing.assert_array_equal(wa.active, wb.active)
             np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
             a = np.asarray(wa.stats, dtype=np.float64)
             b = np.asarray(wb.stats, dtype=np.float64)
@@ -377,6 +379,7 @@ class TestPooledNoise:
         for wa, wb in zip(base, pooled):
             # arrivals are drawn from the traffic streams, not the noise
             # streams: pooling must leave them untouched
+            np.testing.assert_array_equal(wa.active, wb.active)
             np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
         a = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in base])
         b = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in pooled])

@@ -21,10 +21,10 @@ from repro.fleet import (
     FleetConfig,
     FleetRightsizingService,
     FleetSimulator,
-    FleetWindow,
     ResizeEvent,
     RightsizingController,
     SavingsLedger,
+    SparseFleetWindow,
     merge_stat_blocks,
 )
 from repro.monitoring.aggregation import STAT_NAMES, stat_matrix
@@ -58,16 +58,18 @@ def _stats_for(mean_exec_ms: float) -> np.ndarray:
     return stats
 
 
-def _window(index, sizes, counts, costs, exec_means, window_s=3600.0) -> FleetWindow:
+def _window(index, sizes, counts, costs, exec_means, window_s=3600.0) -> SparseFleetWindow:
+    """A window in which every listed function is active."""
     n = len(sizes)
     stats = np.zeros((n, len(METRIC_NAMES), len(STAT_NAMES)))
     stats[:, _EXEC, _MEAN] = exec_means
     counts = np.asarray(counts, dtype=np.int64)
-    return FleetWindow(
+    return SparseFleetWindow(
         index=index,
         start_s=index * window_s,
         end_s=(index + 1) * window_s,
         memory_mb=np.asarray(sizes, dtype=int),
+        active=np.arange(n),
         stats=stats,
         n_invocations=counts,
         n_arrivals=counts.copy(),
@@ -169,9 +171,11 @@ class TestFleetSimulator:
         window = simulator.run_window()
         assert (window.start_s, window.end_s) == (0.0, 600.0)
         assert simulator.clock_s == 600.0
-        assert window.memory_mb[0] == 256
-        assert window.n_invocations[0] > 0
-        assert window.mean_execution_time_ms()[0] > 0
+        assert window.active.tolist() == [0]
+        dense = window.to_dense()
+        assert dense.memory_mb[0] == 256
+        assert dense.n_invocations[0] > 0
+        assert dense.mean_execution_time_ms()[0] > 0
         assert window.total_cost_usd > 0
         second = simulator.run_window()
         assert (second.start_s, second.end_s) == (600.0, 1200.0)
@@ -184,9 +188,11 @@ class TestFleetSimulator:
             FleetConfig(window_s=600.0, seed=2),
         )
         window = simulator.run_window()
-        assert window.n_invocations[1] == 0
-        assert np.all(window.stats[1] == 0.0)
-        assert window.cost_usd[1] == 0.0
+        assert window.active.tolist() == [0]
+        dense = window.to_dense()
+        assert dense.n_invocations[1] == 0
+        assert np.all(dense.stats[1] == 0.0)
+        assert dense.cost_usd[1] == 0.0
 
     def test_resize_redeploys_at_new_size(self, cpu_function):
         simulator = FleetSimulator(
@@ -213,7 +219,7 @@ class TestFleetSimulator:
             FleetConfig(window_s=600.0, max_arrivals_per_window=25, seed=5),
         )
         window = simulator.run_window()
-        assert window.n_arrivals[0] == 25
+        assert window.to_dense().n_arrivals[0] == 25
 
     def test_seeded_runs_reproduce(self, cpu_function):
         results = []
@@ -222,9 +228,11 @@ class TestFleetSimulator:
                 [cpu_function], [ConstantTraffic(0.1)], FleetConfig(window_s=600.0, seed=6)
             )
             window = simulator.run_window()
-            results.append((window.n_invocations.copy(), window.stats.copy()))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+            results.append(
+                (window.active.copy(), window.n_invocations.copy(), window.stats.copy())
+            )
+        for first, second in zip(*results):
+            assert np.array_equal(first, second)
 
 
 class TestControllerGuardrails:

@@ -299,7 +299,7 @@ def bench_fleet_scale(scale: str) -> dict:
         simulator = FleetSimulator(
             functions,
             traffic,
-            FleetConfig(window_s=bench.WINDOW_S, seed=99, sparse=True),
+            FleetConfig(window_s=bench.WINDOW_S, seed=99),
         )
         setup_seconds = time.perf_counter() - setup_start
     finally:
