@@ -12,7 +12,7 @@ Three contracts of the online subsystem are asserted here:
    production-shaped sparse regime (a few requests per hour per function)
    where per-function engine dispatch dominates the looped path.  Both paths
    consume identical pre-built arrivals and per-group noise streams and
-   produce bit-identical stats (asserted).
+   produce bit-identical stats (asserted); both are timed best-of-3.
 3. **Memory bound** — peak traced memory of a multi-window service run stays
    within a small multiple of ONE window's fused columns, independent of the
    number of windows processed.
@@ -25,7 +25,8 @@ Three contracts of the online subsystem are asserted here:
    function, the pre-sparse window body).
 5. **Sparse memory bound** — peak traced memory of sparse windows at fleet
    scale is bounded by the *active* invocations plus a small per-function
-   bookkeeping allowance, never by dense per-function stat blocks.
+   bookkeeping allowance, never by dense per-function stat blocks; the same
+   bound holds for the grouped kernel alone on pre-built active groups.
 
 Scale knobs for CI smoke runs: ``REPRO_BENCH_FLEET_FUNCTIONS`` /
 ``REPRO_BENCH_FLEET_WINDOWS`` shrink the service run,
@@ -40,7 +41,6 @@ from __future__ import annotations
 import os
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,7 +57,11 @@ from repro.simulation.seeding import (
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import DiurnalTraffic, sample_fleet_traffic
+from repro.workloads.traffic import (
+    DiurnalTraffic,
+    FleetTrafficSchedule,
+    sample_fleet_traffic,
+)
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_FLEET_FUNCTIONS", "300"))
 N_WINDOWS = int(os.environ.get("REPRO_BENCH_FLEET_WINDOWS", "8"))
@@ -101,20 +105,6 @@ def _min_speedup() -> float:
 
 def _min_sparse_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_SPARSE_MIN_SPEEDUP", "10.0"))
-
-
-def _min_compiled_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_FLEET_COMPILED_MIN_SPEEDUP", "2.0"))
-
-
-def _min_compiled_default_speedup() -> float:
-    return float(
-        os.environ.get("REPRO_BENCH_FLEET_COMPILED_MIN_DEFAULT_SPEEDUP", "1.2")
-    )
-
-
-def _orchestration_factor() -> float:
-    return float(os.environ.get("REPRO_BENCH_FLEET_ORCH_FACTOR", "3.0"))
 
 
 def _build_service(context) -> FleetRightsizingService:
@@ -240,13 +230,29 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     return seconds, invocations, per_window_stats
 
 
+def _best_of(n_runs, run):
+    """Repeat a fresh timed run, keeping the fastest (noise-robust) one."""
+    best = None
+    for _ in range(n_runs):
+        result = run()
+        if best is None or result[0] < best[0]:
+            best = result
+    return best
+
+
 def test_bench_fused_window_speedup():
-    """Acceptance criterion: fused window execution >= 5x the looped path."""
+    """Acceptance criterion: fused window execution >= 5x the looped path.
+
+    Each side is timed best-of-3 on a fresh simulator, so one noisy run on
+    a shared machine cannot sink the ratio.
+    """
     functions, traffic = _speedup_scenario()
-    fused_seconds, total_invocations, fused_stats = execute_windows(
-        functions, traffic, fused=True
+    fused_seconds, total_invocations, fused_stats = _best_of(
+        3, lambda: execute_windows(functions, traffic, fused=True)
     )
-    looped_seconds, _, looped_stats = execute_windows(functions, traffic, fused=False)
+    looped_seconds, _, looped_stats = _best_of(
+        3, lambda: execute_windows(functions, traffic, fused=False)
+    )
     for fused_window, looped_window in zip(fused_stats, looped_stats):
         np.testing.assert_array_equal(looped_window, fused_window)
 
@@ -257,7 +263,7 @@ def test_bench_fused_window_speedup():
         f"{SPEEDUP_WINDOWS} windows ({total_invocations:,} invocations): "
         f"fused {fused_seconds * 1e3 / SPEEDUP_WINDOWS:.1f} ms/window, "
         f"looped {looped_seconds * 1e3 / SPEEDUP_WINDOWS:.1f} ms/window "
-        f"({speedup:.1f}x, bit-identical stats)"
+        f"({speedup:.1f}x, bit-identical stats, best of 3)"
     )
     assert speedup >= _min_speedup()
 
@@ -348,23 +354,49 @@ def execute_sparse_windows(functions, traffic, n_windows=SPARSE_WINDOWS, seed=97
     return seconds, invocations, windows
 
 
+def _dense_window_stats(functions, traffic, seed=97):
+    """First-window stats of one engine group per function on fleet traffic.
+
+    Samples the window exactly like ``FleetSimulator.run_window`` (one fused
+    fleet draw) and spawns every function's execution stream, then executes
+    all groups — idle ones included — as one dense mega-batch.  The sparse
+    window's ``to_dense()`` view must equal it bit for bit.
+    """
+    simulator = FleetSimulator(
+        functions, traffic, FleetConfig(window_s=WINDOW_S, seed=seed)
+    )
+    arrivals = FleetTrafficSchedule(traffic).sample_window(
+        0.0, WINDOW_S, child_rng(seed, STREAM_TRAFFIC, 0)
+    )
+    rngs = spawn_child_rngs(seed, STREAM_EXECUTION, 0, n=len(functions))
+    requests = [
+        GroupRequest.for_deployed(
+            simulator.platform, fn.name, arrivals.arrivals_of(i), rngs[i]
+        )
+        for i, fn in enumerate(functions)
+    ]
+    batch = simulator.backend.run_grouped(simulator.platform, requests)
+    return batch.aggregate_stats(0.0, True)[0]
+
+
 def test_bench_sparse_window_speedup():
     """Acceptance criterion: sparse windows >= 10x the dense reference at scale.
 
-    Parity is gated first at a sub-scale under per-function traffic (where
-    sparse and dense consume identical streams and must agree bit for bit),
-    then the speedup is measured at full scale under fused traffic sampling.
+    Parity is gated first at a sub-scale: the sparse window equals one
+    dense engine group per function on the same fleet arrivals and streams,
+    bit for bit.  Then the speedup is measured at full scale against the
+    O(fleet) dense reference body.
     """
     parity_functions, parity_traffic = _sparse_scenario(
         min(2_000, SPARSE_FUNCTIONS)
     )
-    _, _, dense_stats = execute_dense_reference_windows(
+    _, _, sparse_windows = execute_sparse_windows(
         parity_functions, parity_traffic, n_windows=1
     )
-    _, _, sparse_windows = execute_sparse_windows(
-        parity_functions, parity_traffic, n_windows=1, traffic_mode="per-function"
+    np.testing.assert_array_equal(
+        sparse_windows[0].to_dense().stats,
+        _dense_window_stats(parity_functions, parity_traffic),
     )
-    np.testing.assert_array_equal(sparse_windows[0].to_dense().stats, dense_stats[0])
 
     functions, traffic = _sparse_scenario()
     sparse_seconds, sparse_invocations, sparse_windows = execute_sparse_windows(
@@ -392,9 +424,8 @@ def test_bench_sparse_window_speedup():
 def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=99):
     """Per-window ``(function_index, arrivals)`` lists of the active groups.
 
-    Sampled once under per-function traffic streams and shared by every
-    backend variant (and every repetition), so all timed runs execute
-    identical work on identical arrivals.
+    Sampled under per-function traffic streams before any measured region,
+    so the measured work is the grouped kernel alone.
     """
     windows = []
     for window_index in range(n_windows):
@@ -411,131 +442,18 @@ def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=9
     return windows
 
 
-def execute_backend_windows(
-    functions,
-    traffic,
-    window_arrivals,
-    seed=99,
-    backend="vectorized",
-    dtype="float64",
-    noise="per-group",
-):
-    """Time ``run_grouped`` + stat reduction over the active sparse groups.
+def test_bench_grouped_kernel_memory_bounded():
+    """The grouped kernel's peak is bounded by active work, not fleet size.
 
-    Request construction and stream spawning happen outside the timer; the
-    timed region is exactly the contested kernel work.  Per-group noise
-    indexes the fleet's per-function spawned streams (so the vectorized and
-    compiled-default variants consume identical streams and must agree bit
-    for bit); pooled noise hands every group one shared window stream,
-    mirroring ``FleetSimulator._execution_rngs``.  Shared with
-    ``tools/bench_report.py`` so the asserted and the reported scenario can
-    never drift apart.
-    """
-    simulator = FleetSimulator(
-        functions,
-        traffic,
-        FleetConfig(
-            window_s=WINDOW_S, seed=seed, backend=backend, dtype=dtype, noise=noise
-        ),
-    )
-    seconds = 0.0
-    invocations = 0
-    per_window_stats = []
-    for window_index, active in enumerate(window_arrivals):
-        if noise == "pooled":
-            shared = child_rng(seed, STREAM_EXECUTION, window_index)
-            requests = [
-                GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, shared
-                )
-                for i, arrivals in active
-            ]
-        else:
-            # O(active) keyed derivation: only the active functions' streams
-            # are constructed (bit-identical to spawning the full fleet and
-            # indexing), so idle functions never cost a stream here either.
-            rngs = keyed_child_rngs(
-                seed,
-                STREAM_EXECUTION,
-                window_index,
-                indices=np.array([i for i, _ in active], dtype=np.int64),
-            )
-            requests = [
-                GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, rngs[j]
-                )
-                for j, (i, arrivals) in enumerate(active)
-            ]
-        start = time.perf_counter()
-        batch = simulator.backend.run_grouped(simulator.platform, requests)
-        stats, _ = batch.aggregate_stats(0.0, True)
-        seconds += time.perf_counter() - start
-        invocations += batch.n_invocations
-        per_window_stats.append(stats)
-    return seconds, invocations, per_window_stats
-
-
-def _best_of(n_runs, run):
-    """Repeat a fresh timed run, keeping the fastest (noise-robust) one."""
-    best = None
-    for _ in range(n_runs):
-        result = run()
-        if best is None or result[0] < best[0]:
-            best = result
-    return best
-
-
-def test_bench_compiled_backend_speedup():
-    """Acceptance criterion: compiled >= 2x vectorized on sparse fleet windows.
-
-    The compiled default (float64, per-group noise) must stay bit-identical
-    to the vectorized backend and is gated on a conservative floor — its
-    speedup ceiling is set by the per-group raw-draw loop it must preserve
-    for bit-exact streams.  The >= 2x criterion is asserted on the
-    pooled-noise compiled variant, which replaces that loop with one shared
-    window stream.  Peak memory of the compiled default is bounded by the
-    fused column budget in a separate untimed pass.
+    Pre-built active groups of the fleet-scale sparse scenario run through
+    ``run_grouped`` + one stat reduction under tracemalloc; the peak must
+    stay within the fused column budget of the ACTIVE invocations plus the
+    platform's O(1)-per-function bookkeeping allowance.
     """
     functions, traffic = _sparse_scenario()
     window_arrivals = _sparse_active_arrivals(functions, traffic)
-
-    def run(**knobs):
-        return execute_backend_windows(functions, traffic, window_arrivals, **knobs)
-
-    vec_seconds, invocations, vec_stats = _best_of(
-        3, lambda: run(backend="vectorized")
-    )
-    comp_seconds, _, comp_stats = _best_of(3, lambda: run(backend="compiled"))
-    pooled_seconds, _, _ = _best_of(
-        3, lambda: run(backend="compiled", noise="pooled")
-    )
-    f32_seconds, _, _ = _best_of(3, lambda: run(backend="compiled", dtype="float32"))
-
-    for vec_window, comp_window in zip(vec_stats, comp_stats):
-        np.testing.assert_array_equal(vec_window, comp_window)
-
-    default_speedup = vec_seconds / comp_seconds
-    pooled_speedup = vec_seconds / pooled_seconds
-    print()
-    print(
-        f"compiled backend: {SPARSE_FUNCTIONS:,} functions x {SPARSE_WINDOWS} "
-        f"windows ({invocations:,} active invocations): "
-        f"vectorized {vec_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window, "
-        f"compiled {comp_seconds * 1e3 / SPARSE_WINDOWS:.1f} "
-        f"({default_speedup:.2f}x, bit-identical), "
-        f"compiled+pooled {pooled_seconds * 1e3 / SPARSE_WINDOWS:.1f} "
-        f"({pooled_speedup:.2f}x), "
-        f"compiled+float32 {f32_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window"
-    )
-    assert invocations > 0
-    assert default_speedup >= _min_compiled_default_speedup()
-    assert pooled_speedup >= _min_compiled_speedup()
-
-    # Untimed memory pass: the compiled default's peak over the window
-    # bodies stays within the fused column budget of the ACTIVE invocations
-    # plus the platform's O(1)-per-function bookkeeping allowance.
     simulator = FleetSimulator(
-        functions, traffic, FleetConfig(window_s=WINDOW_S, seed=99, backend="compiled")
+        functions, traffic, FleetConfig(window_s=WINDOW_S, seed=99)
     )
     prebuilt = []
     for window_index, active in enumerate(window_arrivals):
@@ -567,65 +485,12 @@ def test_bench_compiled_backend_speedup():
     column_bytes = max(active_invocations, 1) * 8 * _COLUMN_SLOTS
     bound = (3 * column_bytes + 128 * len(functions)) * _mem_factor()
     print(
-        f"compiled backend memory: {active_invocations:,} active "
+        f"\ngrouped kernel memory: {active_invocations:,} active "
         f"invocations/window -> peak {peak_bytes / 1e6:.2f} MB "
         f"(bound {bound / 1e6:.2f} MB)"
     )
+    assert active_invocations > 0
     assert peak_bytes < bound
-
-
-def test_bench_default_orchestration_overhead():
-    """Acceptance criterion: default windows within ORCH_FACTOR x pooled wall.
-
-    The pooled-noise mode is the fleet's orchestration floor: one shared
-    window stream, no per-function stream derivation.  The default
-    per-function-deterministic mode pays keyed O(active) stream derivation
-    and per-group request construction on top.  This guard bounds that
-    orchestration overhead at ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 3)
-    times the pooled wall — the fast path must scale with *active* work,
-    not fleet size (the former full-fleet spawn made this ~16x).
-
-    Parity is gated first at sub-scale under per-function traffic: the
-    default path must reproduce the pre-fast-path reference (full-fleet
-    spawned streams, one engine group per function) bit for bit, so the
-    measured factor is pure orchestration cost — identical statistics.
-    """
-    parity_functions, parity_traffic = _sparse_scenario(min(2_000, SPARSE_FUNCTIONS))
-    _, _, dense_stats = execute_dense_reference_windows(
-        parity_functions, parity_traffic, n_windows=1
-    )
-    _, _, default_windows = execute_sparse_windows(
-        parity_functions,
-        parity_traffic,
-        n_windows=1,
-        traffic_mode="per-function",
-        backend="compiled",
-    )
-    np.testing.assert_array_equal(
-        default_windows[0].to_dense().stats, dense_stats[0]
-    )
-
-    functions, traffic = _sparse_scenario()
-    default_seconds, default_invocations, _ = _best_of(
-        2, lambda: execute_sparse_windows(functions, traffic, backend="compiled")
-    )
-    pooled_seconds, pooled_invocations, _ = _best_of(
-        2,
-        lambda: execute_sparse_windows(
-            functions, traffic, backend="compiled", noise="pooled"
-        ),
-    )
-    factor = default_seconds / pooled_seconds
-    print()
-    print(
-        f"orchestration overhead: {SPARSE_FUNCTIONS:,} functions x "
-        f"{SPARSE_WINDOWS} windows: default "
-        f"{default_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window vs pooled "
-        f"{pooled_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window "
-        f"({factor:.2f}x, bound {_orchestration_factor():.1f}x)"
-    )
-    assert default_invocations > 0 and pooled_invocations > 0
-    assert factor <= _orchestration_factor()
 
 
 def test_bench_fleet_window_memory_bounded_by_active():

@@ -2,14 +2,13 @@
 
 Generates the benchmark dataset (by default 200 synthetic functions x 6
 memory sizes x 120 invocations = 144 000 simulated invocations) once per
-backend variant and records the achieved invocations/second.  Variants:
-``serial`` (scalar reference), ``vectorized`` (fused cross-function
-mega-batches, the default path), ``vectorized-looped`` (one engine batch per
-(function, size) pair — the pre-fusion path, kept for the speedup ledger)
-and ``parallel`` (fused chunks fanned out over worker processes).  The final
-tests assert the engine's acceptance criteria: the default (fused
-vectorized) path generates the dataset at least 10x faster than serial, and
-measurably faster than its own looped schedule.
+backend and records the achieved invocations/second: ``serial`` (scalar
+reference) and ``vectorized`` (fused cross-function mega-batches, the
+default path).  The final tests assert the engine's acceptance criteria: the
+default (fused vectorized) path generates the dataset at least 10x faster
+than serial, and measurably faster than the looped ``measure_many`` object
+path (one engine batch per (function, size) pair) on identical functions,
+with bit-identical numbers.
 
 Unlike the other benchmarks this one deliberately ignores ``REPRO_BENCH_SCALE``
 — the comparison is defined on the default generation configuration
@@ -25,7 +24,10 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
+from repro.dataset.table import MeasurementTable
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_GEN_FUNCTIONS", "200"))
 
@@ -34,10 +36,7 @@ _INVOCATIONS = N_FUNCTIONS * 6 * 120  # functions x sizes x invocations_per_size
 
 _VARIANTS = {
     "serial": dict(backend="serial"),
-    "vectorized": dict(backend="vectorized", fused=True),
-    "vectorized-looped": dict(backend="vectorized", fused=False),
-    "parallel": dict(backend="parallel", fused=True),
-    "compiled": dict(backend="compiled", fused=True),
+    "vectorized": dict(backend="vectorized"),
 }
 
 
@@ -75,21 +74,6 @@ def test_bench_generation_vectorized(benchmark):
     _bench(benchmark, "vectorized")
 
 
-def test_bench_generation_vectorized_looped(benchmark):
-    """Pre-fusion schedule: one numpy batch per (function, size) pair."""
-    _bench(benchmark, "vectorized-looped")
-
-
-def test_bench_generation_parallel(benchmark):
-    """Fused chunks fanned out over worker processes."""
-    _bench(benchmark, "parallel")
-
-
-def test_bench_generation_compiled(benchmark):
-    """Kernelized backend: cross-group instance walk + fused metric kernel."""
-    _bench(benchmark, "compiled")
-
-
 def test_vectorized_speedup_over_serial():
     """Acceptance criterion: >= 10x over serial on the default dataset."""
     minimum = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "10.0"))
@@ -103,14 +87,43 @@ def test_vectorized_speedup_over_serial():
     assert speedup >= minimum
 
 
+def _best_of(n_runs, run):
+    """Repeat a timed run, keeping the fastest (noise-robust) ``(seconds, result)``."""
+    best = None
+    for _ in range(n_runs):
+        start = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - start
+        if best is None or seconds < best[0]:
+            best = (seconds, result)
+    return best
+
+
 def test_fused_speedup_over_looped():
-    """The fused mega-batch path beats its own looped schedule."""
+    """The fused mega-batch path beats the looped ``measure_many`` object path.
+
+    Both sides measure the same pre-generated functions through one
+    harness (every experiment draws from index-derived streams, so reruns
+    reproduce the same numbers) and are timed best-of-3.
+    """
     minimum = float(os.environ.get("REPRO_BENCH_GEN_FUSED_SPEEDUP", "1.2"))
-    looped = _throughput("vectorized-looped")
-    fused = _throughput("vectorized")
-    speedup = fused / looped
+    generator = TrainingDatasetGenerator(
+        DatasetGenerationConfig(n_functions=N_FUNCTIONS, **_VARIANTS["vectorized"])
+    )
+    functions = generator.function_generator.generate(N_FUNCTIONS)
+    harness = generator.harness
+    fused_seconds, table = _best_of(3, lambda: harness.measure_table(functions))
+    looped_seconds, measured = _best_of(3, lambda: harness.measure_many(functions))
+    looped = MeasurementTable.from_measurements(
+        measured, memory_sizes_mb=table.memory_sizes_mb
+    )
+    np.testing.assert_array_equal(table.values, looped.values)
+    np.testing.assert_array_equal(table.n_invocations, looped.n_invocations)
+
+    speedup = looped_seconds / fused_seconds
     print(
-        f"\ngeneration throughput: looped {looped:,.0f} inv/s, "
-        f"fused {fused:,.0f} inv/s ({speedup:.2f}x)"
+        f"\ngeneration throughput: looped {_INVOCATIONS / looped_seconds:,.0f} inv/s, "
+        f"fused {_INVOCATIONS / fused_seconds:,.0f} inv/s ({speedup:.2f}x, "
+        f"bit-identical)"
     )
     assert speedup >= minimum

@@ -29,7 +29,7 @@ def main() -> None:
         invocations_per_size=12 if ci_scale else 20,
         base_memory_sizes_mb=(256,),
         seed=7,
-        backend="vectorized",  # numpy batch engine; try "parallel" or "serial"
+        backend="vectorized",  # numpy batch engine; "serial" is the scalar reference
     )
     pipeline = SizelessPipeline(config)
 

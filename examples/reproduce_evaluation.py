@@ -2,10 +2,11 @@
 
 Thin wrapper around :mod:`repro.experiments.runner`.  Pass ``quick``,
 ``standard`` (default) or ``paper`` to pick the experiment scale, and
-optionally an execution backend (``serial``, ``vectorized``, ``parallel``)::
+optionally an execution backend (``serial`` or ``vectorized``, the
+default)::
 
     python examples/reproduce_evaluation.py quick
-    python examples/reproduce_evaluation.py paper parallel
+    python examples/reproduce_evaluation.py paper vectorized
 """
 
 from __future__ import annotations

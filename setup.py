@@ -19,9 +19,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={
-        # Best-effort JIT acceleration for backend="compiled"; the backend
-        # falls back to its pure-NumPy kernels when numba is absent.
-        "compiled": ["numba"],
-    },
 )

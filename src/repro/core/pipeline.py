@@ -65,14 +65,7 @@ class PipelineConfig:
         Master seed for dataset generation, platform noise and training.
     backend:
         Execution backend for all simulated measurements (offline dataset
-        generation and online monitoring): ``"serial"``, ``"vectorized"`` or
-        ``"parallel"``.
-    n_workers:
-        Worker count for the parallel backend (``None`` = CPU count).
-    fused:
-        Measure the offline sweep through the fused cross-function path
-        (one columnar mega-batch per chunk/shard); ``False`` issues one
-        engine batch per (function, size) pair.  Bit-identical either way.
+        generation and online monitoring): ``"serial"`` or ``"vectorized"``.
     shard_size:
         When set, the offline phase generates a sharded out-of-core training
         table with this many functions per on-disk shard (``None`` keeps the
@@ -93,8 +86,6 @@ class PipelineConfig:
     provider: str = "aws"
     seed: int = 42
     backend: str = "vectorized"
-    n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -167,8 +158,6 @@ class SizelessPipeline:
             invocations_per_size=self.config.invocations_per_size,
             seed=self.config.seed,
             backend=self.config.backend,
-            n_workers=self.config.n_workers,
-            fused=self.config.fused,
             shard_size=self.config.shard_size,
             shard_directory=self.config.shard_directory,
         )
@@ -244,8 +233,6 @@ class SizelessPipeline:
                 max_invocations_per_size=self.config.monitoring_invocations,
                 seed=self.config.seed + 2000,
                 backend=self.config.backend,
-                n_workers=self.config.n_workers,
-                fused=self.config.fused,
             ),
         )
         measurement = harness.measure_function(function, memory_sizes_mb=(base_size,))

@@ -61,15 +61,8 @@ class DatasetGenerationConfig:
         Optional override for the synthetic function generator settings.
     backend:
         Execution backend measuring the functions: ``"serial"`` (the original
-        scalar path), ``"vectorized"`` (numpy batches) or ``"parallel"``
-        (vectorized batches fanned out over worker processes).
-    n_workers:
-        Worker count for the parallel backend (``None`` = CPU count).
-    fused:
-        Measure through the fused cross-function path (one columnar
-        mega-batch per chunk/shard) on the batch backends; ``False`` issues
-        one engine batch per (function, size) pair.  Bit-identical numbers
-        either way.
+        scalar path) or ``"vectorized"`` (numpy batches, one fused
+        cross-function mega-batch per chunk/shard).
     shard_size:
         When set, generate a sharded out-of-core table with this many
         functions per on-disk shard instead of one in-memory table
@@ -89,8 +82,6 @@ class DatasetGenerationConfig:
     seed: int = 42
     generator_config: GeneratorConfig | None = field(default=None)
     backend: str = "vectorized"
-    n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -130,8 +121,6 @@ class TrainingDatasetGenerator:
             max_invocations_per_size=self.config.invocations_per_size,
             seed=self.config.seed + 2,
             backend=self.config.backend,
-            n_workers=self.config.n_workers,
-            fused=self.config.fused,
         )
         self.harness = MeasurementHarness(platform=platform, config=harness_config)
 
@@ -144,7 +133,6 @@ class TrainingDatasetGenerator:
             "duration_s": self.config.duration_s,
             "seed": self.config.seed,
             "backend": self.config.backend,
-            "fused": self.config.fused,
         }
 
     def _description(self) -> str:

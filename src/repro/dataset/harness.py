@@ -11,22 +11,20 @@ in seconds; the cap preserves the arrival-process shape (see
 
 Invocation batches run through a pluggable execution backend
 (:mod:`repro.simulation.engine`): the default ``"serial"`` backend reproduces
-the original scalar path invocation for invocation, ``"vectorized"`` computes
-whole arrival batches in numpy, and ``"parallel"`` additionally fans work out
-over worker processes.  Measurement windows are aggregated straight from the
-batch columns — no per-invocation metric dictionaries are materialized — and
-each function's records are discarded from the platform log once aggregated,
-so memory stays bounded during paper-scale runs.
+the original scalar path invocation for invocation, and ``"vectorized"``
+computes whole arrival batches in numpy.  Measurement windows are aggregated
+straight from the batch columns — no per-invocation metric dictionaries are
+materialized — and each function's records are discarded from the platform
+log once aggregated, so memory stays bounded during paper-scale runs.
 
 Every (function, size) experiment owns two private random streams — one for
 its arrival trace, one for its execution noise — spawned from the base seeds
 and the function's absolute index (:mod:`repro.simulation.seeding`).  All
-schedules therefore produce bit-identical numbers: the sequential loop, the
-chunked sharded run, the process-parallel fan-out, and the **fused** path
-(``fused=True``, the default for the batch backends), which flattens all
-(function, size) pairs of a chunk into one columnar mega-batch
-(:mod:`repro.simulation.engine.grouped`) instead of issuing
-``functions x sizes`` separate engine batches.
+schedules therefore produce bit-identical numbers: the sequential
+per-function loop, the chunked sharded run, and the **fused** table path of
+the vectorized backend, which flattens all (function, size) pairs of a chunk
+into one columnar mega-batch (:mod:`repro.simulation.engine.grouped`)
+instead of issuing ``functions x sizes`` separate engine batches.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.monitoring.aggregation import STAT_NAMES, MonitoringSummary
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.dataset.schema import FunctionMeasurement
-from repro.dataset.table import MeasurementTableBuilder, measurement_stat_block
+from repro.dataset.table import MeasurementTableBuilder
 from repro.simulation.engine import (
     ExecutionBackend,
     GroupRequest,
@@ -76,21 +74,12 @@ class HarnessConfig:
     seed:
         Base seed of the per-experiment arrival streams.
     backend:
-        Execution backend name (``"serial"``, ``"vectorized"``,
-        ``"parallel"``) used for invocation batches.
-    n_workers:
-        Worker-process count for the parallel backend (``None`` = CPU count;
-        ignored by the single-process backends).
+        Execution backend name (``"serial"`` or ``"vectorized"``) used for
+        invocation batches.
     stream_records:
         Discard each function's per-invocation records from the platform log
         once its measurement window has been aggregated, keeping memory
         bounded during large generation runs (billing totals are preserved).
-    fused:
-        Measure tables through the fused cross-function path: one columnar
-        mega-batch per chunk instead of one engine batch per (function,
-        size) pair.  Bit-identical to the looped path (every experiment owns
-        its own streams) and much faster for the batch backends; ignored by
-        the serial backend, which stays the scalar reference.
     """
 
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
@@ -99,9 +88,7 @@ class HarnessConfig:
     exclude_cold_starts: bool = True
     seed: int = 0
     backend: str = "serial"
-    n_workers: int | None = None
     stream_records: bool = True
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if not self.memory_sizes_mb:
@@ -114,8 +101,6 @@ class HarnessConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; available: {available_backends()}"
             )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError("n_workers must be at least 1 when given")
 
 
 class MeasurementHarness:
@@ -134,9 +119,7 @@ class MeasurementHarness:
                 )
             )
         self.platform = platform
-        self.backend: ExecutionBackend = get_backend(
-            self.config.backend, n_workers=self.config.n_workers
-        )
+        self.backend: ExecutionBackend = get_backend(self.config.backend)
         self._load_generator = LoadGenerator(seed=self.config.seed)
         self._auto_index = 0
 
@@ -215,22 +198,26 @@ class MeasurementHarness:
         workload: Workload | None = None,
         progress_callback=None,
     ) -> list[FunctionMeasurement]:
-        """Measure a list of functions through the configured backend.
+        """Measure a list of functions sequentially (like the paper's trials).
 
-        The serial and vectorized backends measure sequentially (like the
-        paper's interleaved trials); the parallel backend fans whole functions
-        out over worker processes — with identical numbers, since every
-        (function, size) experiment draws from its own index-derived streams.
-        ``progress_callback(done, total, name)`` is invoked after each
-        completed function.
+        Function ``k`` of the list measures with absolute index ``k``, so
+        its numbers equal those of the same function at the same position in
+        :meth:`measure_table`.  ``progress_callback(done, total, name)`` is
+        invoked after each completed function.
         """
-        return self.backend.measure_functions(
-            self,
-            functions,
-            memory_sizes_mb=memory_sizes_mb,
-            workload=workload,
-            progress_callback=progress_callback,
-        )
+        measurements = []
+        for index, function in enumerate(functions):
+            measurements.append(
+                self.measure_function(
+                    function,
+                    memory_sizes_mb=memory_sizes_mb,
+                    workload=workload,
+                    index=index,
+                )
+            )
+            if progress_callback is not None:
+                progress_callback(index + 1, len(functions), function.name)
+        return measurements
 
     # ----------------------------------------------------------- columnar path
     def measure_function_stats(
@@ -328,14 +315,13 @@ class MeasurementHarness:
     ):
         """Measure a list of functions into a columnar measurement table.
 
-        The array-first counterpart of :meth:`measure_many`.  With the batch
-        backends and ``fused=True`` (the default) the run executes one fused
-        cross-function mega-batch per chunk — one chunk per shard when
-        streaming into a sharded sink, :data:`_DEFAULT_FUSED_CHUNK` functions
-        otherwise — instead of ``functions x sizes`` separate engine batches;
-        the parallel backend fans whole chunks out over worker processes.
-        The serial backend (and ``fused=False``) measures one batch per
-        (function, size) pair.  All schedules produce bit-identical tables.
+        The array-first counterpart of :meth:`measure_many`.  With the
+        vectorized backend the run executes one fused cross-function
+        mega-batch per chunk — one chunk per shard when streaming into a
+        sharded sink, :data:`_DEFAULT_FUSED_CHUNK` functions otherwise —
+        instead of ``functions x sizes`` separate engine batches.  The serial
+        backend measures one batch per (function, size) pair.  Both
+        schedules produce bit-identical tables.
 
         ``sink`` selects where the stat blocks land.  By default a fresh
         :class:`~repro.dataset.table.MeasurementTableBuilder` collects them
@@ -366,18 +352,23 @@ class MeasurementHarness:
                     f"{memory_sizes}"
                 )
         shard_size = int(getattr(sink, "shard_size", 0) or 0)
-        if self.config.fused and not isinstance(self.backend, SerialBackend):
+        if not isinstance(self.backend, SerialBackend):
             # Fused path: one columnar mega-batch per chunk.  The chunk is
             # capped at the memory-bounding default even when a sharded sink
             # uses larger shards (the sink buffers rows until a shard fills,
-            # so chunking below the shard size never changes the output).
-            chunk_size = min(
-                shard_size or _DEFAULT_FUSED_CHUNK,
-                _DEFAULT_FUSED_CHUNK,
-                len(functions) or _DEFAULT_FUSED_CHUNK,
-            )
-
-            def on_chunk(chunk_start, chunk, stats, counts):
+            # so chunking below the shard size never changes the output);
+            # per-group streams derive from absolute indices, so chunking
+            # never changes the numbers either.
+            total = len(functions)
+            step = min(shard_size or _DEFAULT_FUSED_CHUNK, _DEFAULT_FUSED_CHUNK)
+            for start in range(0, total, step):
+                chunk = functions[start : start + step]
+                stats, counts = self.measure_chunk_stats(
+                    chunk,
+                    index_offset=start,
+                    memory_sizes_mb=memory_sizes,
+                    workload=workload,
+                )
                 for k, function in enumerate(chunk):
                     sink.add_function(
                         function.name,
@@ -386,53 +377,8 @@ class MeasurementHarness:
                         stats=stats[k],
                         counts=counts[k],
                     )
-
-            self.backend.measure_stat_chunks(
-                self,
-                functions,
-                memory_sizes_mb=memory_sizes,
-                workload=workload,
-                chunk_size=chunk_size,
-                on_chunk=on_chunk,
-                progress_callback=progress_callback,
-            )
-            return sink.build()
-        overridden = (
-            type(self.backend).measure_functions is not ExecutionBackend.measure_functions
-        )
-        if overridden:
-            # Scheduling backends return whole FunctionMeasurement lists, so
-            # a sharding sink would otherwise see the entire run materialized
-            # at once.  Chunk the run by the sink's shard size instead —
-            # per-group streams derive from absolute indices (index_offset),
-            # so the chunked numbers equal the single-call numbers — keeping
-            # the peak at one shard's worth of measurement objects.
-            chunk_size = shard_size or len(functions) or 1
-            for chunk_start in range(0, len(functions), chunk_size):
-                chunk = functions[chunk_start : chunk_start + chunk_size]
-                measurements = self.backend.measure_functions(
-                    self,
-                    chunk,
-                    memory_sizes_mb=memory_sizes,
-                    workload=workload,
-                    progress_callback=(
-                        None
-                        if progress_callback is None
-                        else lambda done, _total, name, base=chunk_start: (
-                            progress_callback(base + done, len(functions), name)
-                        )
-                    ),
-                    index_offset=chunk_start,
-                )
-                for measurement in measurements:
-                    stats, counts = measurement_stat_block(measurement, memory_sizes)
-                    sink.add_function(
-                        measurement.function_name,
-                        application=measurement.application,
-                        segments=measurement.segments,
-                        stats=stats,
-                        counts=counts,
-                    )
+                    if progress_callback is not None:
+                        progress_callback(start + k + 1, total, function.name)
             return sink.build()
         for index, function in enumerate(functions):
             stats, counts = self.measure_function_stats(

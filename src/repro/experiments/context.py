@@ -54,8 +54,6 @@ class ExperimentScale:
     feature_names: tuple[str, ...] = DEFAULT_FEATURE_SET
     seed: int = 42
     backend: str = "vectorized"
-    n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -97,7 +95,6 @@ class ExperimentScale:
             train_invocations_per_size=120,
             case_invocations_per_size=120,
             case_repetitions=10,
-            backend="parallel",
         )
 
 
@@ -132,8 +129,6 @@ class ExperimentContext:
                     invocations_per_size=self.scale.train_invocations_per_size,
                     seed=self.scale.seed,
                     backend=self.scale.backend,
-                    n_workers=self.scale.n_workers,
-                    fused=self.scale.fused,
                     shard_size=self.scale.shard_size,
                     shard_directory=self.scale.shard_directory,
                 )
@@ -204,8 +199,6 @@ class ExperimentContext:
                             max_invocations_per_size=self.scale.case_invocations_per_size,
                             seed=seed + 1,
                             backend=self.scale.backend,
-                            n_workers=self.scale.n_workers,
-                            fused=self.scale.fused,
                         ),
                     )
                     repetitions.append(

@@ -11,7 +11,7 @@ be undone.
 by :class:`~repro.fleet.simulator.FleetSimulator`:
 
 1. **Observe** — every window's active stat rows are merged into running
-   accumulators with a vectorized pooled mean/variance update
+   accumulators with a vectorized combined mean/variance update
    (:func:`merge_stat_blocks`); no per-function Python loops, and idle
    functions cost nothing.
 2. **Decide** — functions observed long enough at a size with a trained

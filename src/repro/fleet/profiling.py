@@ -19,10 +19,10 @@ from __future__ import annotations
 #: The simulator fills the first five (:meth:`~repro.fleet.simulator.
 #: FleetSimulator.run_window`), the service the last two.
 WINDOW_PHASES = (
-    "traffic",      # fleet arrival sampling (fused draw or keyed per-function)
+    "traffic",      # fleet arrival sampling (one fused draw per window)
     "seeding",      # per-group execution-noise stream derivation
     "group-build",  # GroupRequest construction for the active groups
-    "execute",      # engine run_grouped / shards / per-function batches
+    "execute",      # engine run_grouped over the active groups
     "reduce",       # stat reductions, cohort broadcast, window assembly
     "decide",       # controller step: predict, guardrails, resizes
     "ledger",       # savings accounting

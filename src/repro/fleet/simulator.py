@@ -9,19 +9,18 @@ memory size, serving time-varying traffic around the clock.
 :class:`FleetSimulator` models that production side.  It deploys a whole
 fleet on one :class:`~repro.simulation.platform.ServerlessPlatform`, assigns
 every function a :class:`~repro.workloads.traffic.TrafficModel`, and advances
-virtual time in fixed monitoring windows.  By default each :meth:`run_window`
-call executes the window's active functions as **one fused cross-function
+virtual time in fixed monitoring windows.  Each :meth:`run_window` call
+executes the window's active functions as **one fused cross-function
 mega-batch** (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`):
 their window arrivals are flattened into single columnar arrays with a
 group-id structure and reduced straight to per-function
 ``(n_metrics, n_stats)`` stat rows with segmented reductions — no
-per-function batches, no per-summary objects.  With ``fused=False`` the
-simulator issues one engine batch per function instead (the looped reference
-path, bit-identical because every (function, window) pair owns private
-traffic and noise streams spawned via :mod:`repro.simulation.seeding`).  The
-result is one :class:`SparseFleetWindow` holding rows only for the window's
-active functions, which the rightsizing controller
-(:mod:`repro.fleet.controller`) and the savings ledger consume;
+per-function batches, no per-summary objects.  Every (function, window) pair
+draws its execution noise from a private stream spawned via
+:mod:`repro.simulation.seeding`, so the result is bit-identical to running
+one engine batch per function.  The result is one :class:`SparseFleetWindow`
+holding rows only for the window's active functions, which the rightsizing
+controller (:mod:`repro.fleet.controller`) and the savings ledger consume;
 :meth:`SparseFleetWindow.to_dense` gives the function-indexed
 :class:`FleetWindow` view.
 
@@ -33,8 +32,8 @@ At platform scale (10^5–10^6 functions, mostly idle under diurnal traffic)
 :meth:`FleetSimulator.run_window` scales with *active, distinct* work
 instead of fleet size:
 
-- **Fused traffic sampling** (``traffic_mode="fused"``, the default) — one
-  window draws the whole fleet's arrivals from a single stream via
+- **Fused traffic sampling** — one window draws the whole fleet's arrivals
+  from a single stream via
   :class:`~repro.workloads.traffic.FleetTrafficSchedule`: one Poisson draw,
   one rate-matrix evaluation, one thinning pass, instead of one Python
   ``arrivals()`` call per function.  Engine groups are then built only for
@@ -46,12 +45,6 @@ instead of fleet size:
   scaled by their own arrival count.  Off by default: per-function noise
   streams make exact cohorting impossible, so this is an explicitly
   statistical approximation (representatives stay bit-exact).
-- **Shard-parallel window execution** (``window_shard_size``) — the active
-  groups are cut into shards executed through
-  :meth:`~repro.simulation.engine.ExecutionBackend.run_stat_shards`
-  (in-order delivery, parallel fan-out on the parallel backend), bounding
-  peak batch memory by one shard and keeping results bit-identical across
-  shard counts.
 """
 
 from __future__ import annotations
@@ -111,10 +104,8 @@ class FleetConfig:
         Sizes the fleet may be resized to (the platform is configured to
         allow exactly these).
     backend:
-        Execution backend for the window batches (``"serial"``,
-        ``"vectorized"``, ``"parallel"``).
-    n_workers:
-        Worker count for the parallel backend (ignored otherwise).
+        Execution backend for the window batches (``"serial"`` or
+        ``"vectorized"``).
     exclude_cold_starts:
         Drop cold-start invocations from window aggregation (the monitoring
         wrapper only measures warm executions).
@@ -126,21 +117,8 @@ class FleetConfig:
         Discard per-invocation records from the platform log after each
         window (keeps memory bounded; billing totals are preserved).
     seed:
-        Base seed of the per-(function, window) traffic and noise streams.
-    fused:
-        Execute each monitoring window as one fused cross-function
-        mega-batch (the default) instead of one engine batch per function.
-        Bit-identical either way — every (function, window) pair draws from
-        its own spawned streams — but the fused path is several times
-        faster at fleet scale (see ``benchmarks/test_bench_fleet.py``).
-    traffic_mode:
-        ``"fused"`` (default) samples the whole fleet's window arrivals from
-        one stream via :class:`~repro.workloads.traffic.FleetTrafficSchedule`
-        — one Poisson draw, one rate-matrix evaluation, one thinning pass
-        per window.  ``"per-function"`` draws each function's arrivals from
-        its own spawned stream (the pre-sparse behaviour).  Both are
-        deterministic in the seed; the two modes draw *different* (equally
-        valid) arrival realizations of the same processes.
+        Base seed of the window traffic streams and the per-(function,
+        window) noise streams.
     cohort_mode:
         ``"off"`` (default) executes every active function — the exactness
         escape hatch: per-function noise streams force per-function draws,
@@ -152,49 +130,23 @@ class FleetConfig:
     cohort_rate_buckets_per_decade:
         Resolution of the cohort rate bucketing: mean window rates are
         bucketed on a log10 grid with this many buckets per decade.
-    window_shard_size:
-        When set, the window's active groups execute in shards of this many
-        functions through
-        :meth:`~repro.simulation.engine.ExecutionBackend.run_stat_shards`
-        (bounding peak batch memory by one shard; the parallel backend fans
-        shards out over workers).  Results are bit-identical for any shard
-        size.  ``None`` executes one mega-batch over all active groups.
     rate_resolution:
         Midpoint samples per window for the batched rate-matrix evaluations
         (cohort rate bucketing); see
         :func:`~repro.workloads.traffic.fleet_rate_matrix`.
-    dtype:
-        Compute dtype of the grouped execution hot path: ``"float64"``
-        (default; bit-exact parity across backends) or ``"float32"``
-        (~2x memory bandwidth, statistical parity; requires a backend with
-        ``supports_float32``, currently ``"compiled"``).
-    noise:
-        Noise-draw mode: ``"per-group"`` (default; every (function, window)
-        pair draws from its own spawned stream, bit-exact across backends
-        and scheduling orders) or ``"pooled"`` (all active functions of a
-        window draw from one shared window stream — removes the per-group
-        draw loop and the per-function stream spawns; statistical parity;
-        requires ``fused=True``, no window sharding and a backend with
-        ``supports_pooled_noise``, currently ``"compiled"``).
     """
 
     window_s: float = 3600.0
     default_memory_mb: int = 256
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
     backend: str = "vectorized"
-    n_workers: int | None = None
     exclude_cold_starts: bool = True
     max_arrivals_per_window: int | None = None
     stream_records: bool = True
     seed: int = 0
-    fused: bool = True
-    traffic_mode: str = "fused"
     cohort_mode: str = "off"
     cohort_rate_buckets_per_decade: int = 2
-    window_shard_size: int | None = None
     rate_resolution: int = 64
-    dtype: str = "float64"
-    noise: str = "per-group"
 
     def __post_init__(self) -> None:
         """Validate window geometry, sizes, backend and scaling knobs."""
@@ -212,34 +164,14 @@ class FleetConfig:
             )
         if self.max_arrivals_per_window is not None and self.max_arrivals_per_window < 1:
             raise ConfigurationError("max_arrivals_per_window must be at least 1 when given")
-        if self.traffic_mode not in ("fused", "per-function"):
-            raise ConfigurationError(
-                f"traffic_mode must be 'fused' or 'per-function', got {self.traffic_mode!r}"
-            )
         if self.cohort_mode not in ("off", "statistical"):
             raise ConfigurationError(
                 f"cohort_mode must be 'off' or 'statistical', got {self.cohort_mode!r}"
             )
         if self.cohort_rate_buckets_per_decade < 1:
             raise ConfigurationError("cohort_rate_buckets_per_decade must be at least 1")
-        if self.window_shard_size is not None and self.window_shard_size < 1:
-            raise ConfigurationError("window_shard_size must be at least 1 when given")
         if self.rate_resolution < 1:
             raise ConfigurationError("rate_resolution must be at least 1")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
-        if self.noise not in ("per-group", "pooled"):
-            raise ConfigurationError(
-                f"noise must be 'per-group' or 'pooled', got {self.noise!r}"
-            )
-        if self.noise == "pooled" and not self.fused:
-            raise ConfigurationError("noise='pooled' requires fused=True")
-        if self.noise == "pooled" and self.window_shard_size is not None:
-            raise ConfigurationError(
-                "noise='pooled' cannot be combined with window_shard_size"
-            )
 
 
 @dataclass(frozen=True)
@@ -446,20 +378,12 @@ class FleetSimulator:
                 )
             )
         self.platform = platform
-        self.backend: ExecutionBackend = get_backend(
-            self.config.backend,
-            n_workers=self.config.n_workers,
-            dtype=self.config.dtype,
-            noise=self.config.noise,
-        )
+        self.backend: ExecutionBackend = get_backend(self.config.backend)
         self._clock_s = 0.0
         self._window_index = 0
         self._memory_mb = np.full(
             len(self.functions), int(self.config.default_memory_mb), dtype=int
         )
-        # Both traffic modes sample through the fused schedule kernels now
-        # (the per-function mode through its keyed-stream entry point), so
-        # the schedule is always built.
         self._schedule = FleetTrafficSchedule(self.traffic)
         # Deployment rows indexed by function, maintained across resizes, so
         # window request construction never round-trips through the
@@ -497,50 +421,45 @@ class FleetSimulator:
 
     # ----------------------------------------------------------------- resize
     def resize(self, function_index: int, memory_mb: int) -> None:
-        """Redeploy one function at a new memory size (drops warm instances)."""
+        """Redeploy one function at a new memory size (drops warm instances).
+
+        ``function_index`` must lie in ``[0, n_functions)``: negative
+        indices are rejected rather than counted from the end.  Bad input
+        raises :class:`~repro.errors.SimulationError` before any state
+        changes.
+        """
+        index = int(function_index)
+        if not 0 <= index < self.n_functions:
+            raise SimulationError(
+                f"function index {index} out of range for a fleet of "
+                f"{self.n_functions} functions"
+            )
         memory_mb = int(memory_mb)
         if memory_mb not in tuple(int(s) for s in self.config.memory_sizes_mb):
             raise SimulationError(
                 f"memory size {memory_mb} MB not among fleet sizes "
                 f"{list(self.config.memory_sizes_mb)}"
             )
-        function = self.functions[int(function_index)]
+        function = self.functions[index]
         self.platform.set_memory_size(
             function.name, float(memory_mb), at_time_s=self._clock_s
         )
         # Redeployment replaced the platform record; refresh the cached row.
-        self._deployments[int(function_index)] = self.platform.get_function(
-            function.name
-        )
-        self._memory_mb[int(function_index)] = memory_mb
+        self._deployments[index] = self.platform.get_function(function.name)
+        self._memory_mb[index] = memory_mb
 
     # ----------------------------------------------------------------- window
     def _sample_arrivals(self, start_s: float, end_s: float) -> FleetArrivals:
-        """Sample the whole fleet's window arrivals.
+        """Sample the whole fleet's window arrivals from one window stream.
 
-        ``traffic_mode="fused"`` draws the fleet from one window-wide stream
-        (one Poisson draw, one rate-matrix evaluation, one thinning pass);
-        ``"per-function"`` draws each function from its own spawned stream.
-        Both are deterministic in the seed but produce *different* (equally
-        valid) realizations of the same processes.
+        One Poisson draw, one rate-matrix evaluation and one thinning pass
+        per window (:meth:`FleetTrafficSchedule.sample_window`),
+        deterministic in the seed and the window index.
         """
-        if self.config.traffic_mode == "fused":
-            return self._schedule.sample_window(
-                start_s,
-                end_s,
-                child_rng(self.config.seed, STREAM_TRAFFIC, self._window_index),
-                max_per_function=self.config.max_arrivals_per_window,
-            )
-        traffic_rngs = keyed_child_rngs(
-            self.config.seed,
-            STREAM_TRAFFIC,
-            self._window_index,
-            indices=np.arange(self.n_functions),
-        )
-        return self._schedule.sample_window_keyed(
+        return self._schedule.sample_window(
             start_s,
             end_s,
-            traffic_rngs,
+            child_rng(self.config.seed, STREAM_TRAFFIC, self._window_index),
             max_per_function=self.config.max_arrivals_per_window,
         )
 
@@ -551,17 +470,12 @@ class FleetSimulator:
         constructs exactly the requested streams in one vectorized batch —
         bit-identical to spawning the full fleet and indexing, but O(active)
         regardless of fleet size, so idle functions never cost a stream.
-
-        In the pooled-noise mode every group shares one window-scoped
-        stream (keyed by window only, no per-function children), so the
-        cost is O(1) regardless of how many functions are active.
         """
-        seed = self.platform.config.seed
-        if self.config.noise == "pooled":
-            shared = child_rng(seed, STREAM_EXECUTION, self._window_index)
-            return [shared] * indices.shape[0]
         return keyed_child_rngs(
-            seed, STREAM_EXECUTION, self._window_index, indices=indices
+            self.platform.config.seed,
+            STREAM_EXECUTION,
+            self._window_index,
+            indices=indices,
         )
 
     def _cohort_plan(
@@ -641,86 +555,39 @@ class FleetSimulator:
         tick = perf_counter()
         exec_rngs = self._execution_rngs(execute)
         self.profiler.add("seeding", perf_counter() - tick)
-        e = execute.shape[0]
-        if self.config.fused:
-            # Build group requests straight from the cached deployment rows
-            # and the columnar arrival buffers: no platform name-registry
-            # lookups, no per-group array re-validation — each request holds
-            # a view into the window's flat ``times_s``.
-            tick = perf_counter()
-            times_s = arrivals.times_s
-            offsets = arrivals.offsets
-            deployments = self._deployments
-            requests = [
-                GroupRequest(
-                    deployment=deployments[i],
-                    arrivals=times_s[offsets[i] : offsets[i + 1]],
-                    rng=exec_rngs[j],
-                )
-                for j, i in enumerate(execute.tolist())
-            ]
-            self.profiler.add("group-build", perf_counter() - tick)
-            tick = perf_counter()
-            shard = self.config.window_shard_size
-            if shard is not None and len(requests) > shard:
-                stats_e = np.zeros((e, n_metrics, n_stats), dtype=float)
-                ninv_e = np.zeros(e, dtype=np.int64)
-                cold_e = np.zeros(e, dtype=np.int64)
-                cost_e = np.zeros(e, dtype=float)
-
-                def _collect(start, stats, counts, sizes, cold, costs):
-                    stop = start + stats.shape[0]
-                    stats_e[start:stop] = stats
-                    ninv_e[start:stop] = counts
-                    cold_e[start:stop] = cold
-                    cost_e[start:stop] = costs
-
-                self.backend.run_stat_shards(
-                    self.platform,
-                    requests,
-                    shard,
-                    exclude_cold_starts=self.config.exclude_cold_starts,
-                    on_shard=_collect,
-                )
-                self.profiler.add("execute", perf_counter() - tick)
-            else:
-                batch = self.backend.run_grouped(self.platform, requests)
-                self.profiler.add("execute", perf_counter() - tick)
-                tick = perf_counter()
-                stats_e, ninv_e = batch.aggregate_stats(
-                    warmup_s=0.0, exclude_cold_starts=self.config.exclude_cold_starts
-                )
-                cold_e = batch.cold_starts_per_group()
-                cost_e = batch.cost_per_group()
-                self.profiler.add("reduce", perf_counter() - tick)
-            if self.config.stream_records:
-                # The batch backends materialize no records, but the serial
-                # backend's scalar path appends every invocation to the
-                # platform log — drop the window's records in one pass so
-                # memory stays bounded by one window regardless of backend.
-                self.platform.discard_all_records()
-        else:
-            tick = perf_counter()
-            stats_e = np.zeros((e, n_metrics, n_stats), dtype=float)
-            ninv_e = np.zeros(e, dtype=np.int64)
-            cold_e = np.zeros(e, dtype=np.int64)
-            cost_e = np.zeros(e, dtype=float)
-            for j, i in enumerate(execute):
-                name = self.functions[int(i)].name
-                batch = self.platform.invoke_batch(
-                    name,
-                    arrivals.arrivals_of(int(i)),
-                    backend=self.backend,
-                    rng=exec_rngs[j],
-                )
-                stats_e[j], ninv_e[j] = batch.aggregate_stats(
-                    warmup_s=0.0, exclude_cold_starts=self.config.exclude_cold_starts
-                )
-                cold_e[j] = batch.n_cold_starts
-                cost_e[j] = batch.total_cost_usd
-                if self.config.stream_records:
-                    self.platform.discard_function_records(name)
-            self.profiler.add("execute", perf_counter() - tick)
+        # Build group requests straight from the cached deployment rows and
+        # the columnar arrival buffers: no platform name-registry lookups, no
+        # per-group array re-validation — each request holds a view into the
+        # window's flat ``times_s``.
+        tick = perf_counter()
+        times_s = arrivals.times_s
+        offsets = arrivals.offsets
+        deployments = self._deployments
+        requests = [
+            GroupRequest(
+                deployment=deployments[i],
+                arrivals=times_s[offsets[i] : offsets[i + 1]],
+                rng=exec_rngs[j],
+            )
+            for j, i in enumerate(execute.tolist())
+        ]
+        self.profiler.add("group-build", perf_counter() - tick)
+        tick = perf_counter()
+        batch = self.backend.run_grouped(self.platform, requests)
+        self.profiler.add("execute", perf_counter() - tick)
+        tick = perf_counter()
+        stats_e, ninv_e = batch.aggregate_stats(
+            warmup_s=0.0, exclude_cold_starts=self.config.exclude_cold_starts
+        )
+        cold_e = batch.cold_starts_per_group()
+        cost_e = batch.cost_per_group()
+        self.profiler.add("reduce", perf_counter() - tick)
+        if self.config.stream_records:
+            # The vectorized backend materializes no records, but the serial
+            # backend's scalar path appends every invocation to the platform
+            # log — drop the window's records in one pass so memory stays
+            # bounded by one window regardless of backend.
+            self.platform.discard_all_records()
         if plan is None:
             return active, stats_e, ninv_e, cold_e, cost_e
         tick = perf_counter()
@@ -755,13 +622,10 @@ class FleetSimulator:
 
         Arrivals are sampled for the fleet first; only functions with >0
         arrivals build engine groups (idle functions cost O(1) and never
-        reach the engine).  By default the active groups execute as one
-        fused cross-function mega-batch reduced straight to per-function
-        stat rows with segmented reductions; with ``fused=False`` every
-        active function's arrivals run as their own engine batch, and with
-        ``window_shard_size`` set the groups execute in bounded shards.
-        All execution paths are bit-identical under the same traffic mode.
-        Functions without traffic get no row in the result.
+        reach the engine).  The active groups execute as one fused
+        cross-function mega-batch reduced straight to per-function stat rows
+        with segmented reductions.  Functions without traffic get no row in
+        the result.
         """
         start_s = self._clock_s
         end_s = start_s + self.config.window_s

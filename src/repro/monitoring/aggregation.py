@@ -279,10 +279,10 @@ def merge_stat_blocks(
     stats_b: np.ndarray,
     counts_b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two batches of per-group stat blocks into pooled statistics.
+    """Merge two batches of per-group stat blocks into combined statistics.
 
     Combines ``(n_groups, n_metrics, n_stats)`` mean/std/cv blocks with
-    their invocation counts using the exact pooled-moment identities (the
+    their invocation counts using the exact combined-moment identities (the
     merged mean is the count-weighted mean; the merged variance comes from
     the merged second moment), entirely as array operations.  Rows with a
     zero combined count stay zero; merging a block into an empty accumulator
@@ -304,7 +304,7 @@ def merge_stat_blocks(
     Returns
     -------
     tuple
-        ``(stats, counts)`` of the pooled statistics.
+        ``(stats, counts)`` of the combined statistics.
     """
     mean_col = STAT_NAMES.index("mean")
     std_col = STAT_NAMES.index("std")
@@ -332,7 +332,7 @@ def merge_stat_blocks(
     merged[..., cv_col] = cv
     # One-sided merges pass the populated side through untouched, so merging
     # a window into an empty accumulator reproduces the window bit for bit
-    # (the pooled formulas would round twice).
+    # (the combining formulas would round twice).
     merged[counts_a == 0] = stats_b[counts_a == 0]
     merged[counts_b == 0] = stats_a[counts_b == 0]
     merged[(counts_a == 0) & (counts_b == 0)] = 0.0

@@ -41,7 +41,6 @@ from repro.simulation.variability import VariabilityModel
 from repro.simulation.engine import (
     BatchResult,
     ExecutionBackend,
-    ParallelBackend,
     SerialBackend,
     VectorizedBackend,
     available_backends,
@@ -69,7 +68,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "VectorizedBackend",
-    "ParallelBackend",
     "available_backends",
     "get_backend",
 ]

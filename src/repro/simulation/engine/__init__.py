@@ -14,23 +14,18 @@ from repro.simulation.engine.base import (
     get_backend,
     register_backend,
 )
-from repro.simulation.engine.compiled import CompiledBackend
-from repro.simulation.engine.grouped import GroupedBatch, GroupRequest, run_grouped
-from repro.simulation.engine.parallel import ParallelBackend
+from repro.simulation.engine.grouped import GroupedBatch, GroupRequest
 from repro.simulation.engine.serial import SerialBackend
 from repro.simulation.engine.vectorized import VectorizedBackend
 
 __all__ = [
     "BatchResult",
-    "CompiledBackend",
     "ExecutionBackend",
     "GroupRequest",
     "GroupedBatch",
     "SerialBackend",
     "VectorizedBackend",
-    "ParallelBackend",
     "available_backends",
     "get_backend",
     "register_backend",
-    "run_grouped",
 ]

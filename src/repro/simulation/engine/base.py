@@ -4,19 +4,13 @@ The measurement path of the paper runs 2 000 functions x 6 memory sizes x
 18 000 invocations (~216 M simulated invocations).  Driving that through the
 scalar :meth:`~repro.simulation.platform.ServerlessPlatform.invoke` call is
 infeasible, so the platform delegates batch execution to a pluggable
-:class:`ExecutionBackend`:
+:class:`ExecutionBackend`.  There are two:
 
 - :class:`~repro.simulation.engine.serial.SerialBackend` — the original scalar
-  path, kept as the reference implementation for white-box parity tests;
-- :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — computes a
-  whole arrival batch in numpy, one noise draw batch per (function, size);
-- :class:`~repro.simulation.engine.parallel.ParallelBackend` — fans whole
-  functions out over ``concurrent.futures`` workers, each running the
-  vectorized backend;
-- :class:`~repro.simulation.engine.compiled.CompiledBackend` — kernelized
-  grouped execution: one cross-group instance walk, gather-based
-  temporary-free metric evaluation, optional ``float32`` compute and pooled
-  noise modes, and optional numba JIT leaves.
+  path, kept as the reference implementation (the test oracle);
+- :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — the one
+  fast path: whole arrival batches in numpy, and many (function, size)
+  groups as one kernelized columnar mega-batch.
 
 Backends are selected by name (a declarative config concern: harness, dataset
 generator, fleet simulator and pipeline all expose a ``backend=`` knob)
@@ -27,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,8 +30,6 @@ from repro.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.monitoring.aggregation import MonitoringSummary
     from repro.simulation.platform import InvocationRecord, ServerlessPlatform
-    from repro.workloads.function import FunctionSpec
-    from repro.workloads.loadgen import Workload
 
 
 @dataclass(frozen=True)
@@ -206,49 +198,12 @@ class ExecutionBackend(abc.ABC):
     """Strategy interface for executing invocation batches.
 
     Backends implement :meth:`run_batch` — execute one (function, size)
-    arrival batch against a platform — and may override
-    :meth:`measure_functions` to change how a harness schedules whole
-    functions (the parallel backend fans them out over worker processes).
+    arrival batch against a platform — and may override :meth:`run_grouped`
+    with a fused executor for many groups at once.
     """
 
     #: Registry name of the backend (used by the ``backend=`` config knobs).
     name: str = "abstract"
-
-    #: Whether the backend implements the ``dtype="float32"`` compute mode.
-    supports_float32: bool = False
-
-    #: Whether the backend implements the ``noise="pooled"`` draw mode.
-    supports_pooled_noise: bool = False
-
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        dtype: str = "float64",
-        noise: str = "per-group",
-    ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ConfigurationError("n_workers must be at least 1 when given")
-        if dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if noise not in ("per-group", "pooled"):
-            raise ConfigurationError(
-                f"noise must be 'per-group' or 'pooled', got {noise!r}"
-            )
-        if dtype == "float32" and not type(self).supports_float32:
-            raise ConfigurationError(
-                f"backend {type(self).name!r} does not support dtype='float32'"
-                " (use backend='compiled')"
-            )
-        if noise == "pooled" and not type(self).supports_pooled_noise:
-            raise ConfigurationError(
-                f"backend {type(self).name!r} does not support noise='pooled'"
-                " (use backend='compiled')"
-            )
-        self.n_workers = n_workers
-        self.dtype = dtype
-        self.noise = noise
 
     @abc.abstractmethod
     def run_batch(
@@ -271,7 +226,7 @@ class ExecutionBackend(abc.ABC):
         The default schedules one :meth:`run_batch` call per group — the
         *looped* reference path — and concatenates the per-group columns into
         a :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
-        vectorized backend overrides this with the fused single-pass
+        vectorized backend overrides this with its kernelized single-pass
         executor; both produce bit-identical numbers because every group
         draws its noise from its own request stream.
         """
@@ -287,7 +242,7 @@ class ExecutionBackend(abc.ABC):
             # a multi-size group list (the harness measuring one function at
             # several sizes) holds requests whose deployment is no longer
             # the platform's current one, so redeploy it before the batch
-            # (redeploying also drops warm instances, like the fused path's
+            # (redeploying also drops warm instances, like the grouped path's
             # fresh_pool reset does).
             if platform._functions.get(request.function_name) is not request.deployment:
                 platform.deploy(
@@ -337,120 +292,6 @@ class ExecutionBackend(abc.ABC):
             },
         )
 
-    def run_stat_shards(
-        self,
-        platform: "ServerlessPlatform",
-        requests,
-        shard_size: int,
-        exclude_cold_starts: bool = True,
-        on_shard: Callable | None = None,
-    ) -> None:
-        """Execute grouped requests shard-wise, delivering stat blocks in order.
-
-        The window-execution counterpart of :meth:`measure_stat_chunks`:
-        instead of holding one mega-batch over *all* groups, the request list
-        is cut into shards of ``shard_size`` groups, each shard runs as its
-        own :meth:`run_grouped` mega-batch, and only its dense per-group
-        reductions flow to ``on_shard(shard_start, stats, counts,
-        group_sizes, cold_starts, costs)`` — strictly in request order.  Peak
-        memory is bounded by one shard's columns.
-
-        Numbers are bit-identical to one fused mega-batch over the full
-        request list: every group draws from its own request stream, the
-        grouped executor's noise draws, parameter columns and timing passes
-        are per-group independent, and the segmented reductions
-        (:func:`repro.monitoring.aggregation.grouped_stat_blocks`) reduce
-        each group in isolation.  The parallel backend overrides this to fan
-        shards out over worker processes with the same in-order delivery.
-        """
-        if int(shard_size) < 1:
-            raise ConfigurationError("shard_size must be at least 1")
-        shard_size = int(shard_size)
-        for start in range(0, len(requests), shard_size):
-            shard = requests[start : start + shard_size]
-            batch = self.run_grouped(platform, shard)
-            stats, counts = batch.aggregate_stats(
-                warmup_s=0.0, exclude_cold_starts=exclude_cold_starts
-            )
-            if on_shard is not None:
-                on_shard(
-                    start,
-                    stats,
-                    counts,
-                    batch.group_sizes(),
-                    batch.cold_starts_per_group(),
-                    batch.cost_per_group(),
-                )
-
-    def measure_stat_chunks(
-        self,
-        harness,
-        functions: list["FunctionSpec"],
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: "Workload | None" = None,
-        chunk_size: int | None = None,
-        on_chunk: Callable | None = None,
-        progress_callback: Callable[[int, int, str], None] | None = None,
-        index_offset: int = 0,
-    ) -> None:
-        """Measure functions chunk-wise through the fused grouped path.
-
-        The default runs each chunk as one in-process fused mega-batch
-        (:meth:`repro.dataset.harness.MeasurementHarness.measure_chunk_stats`)
-        and hands its dense stat blocks to ``on_chunk(chunk_start, chunk,
-        stats, counts)`` in order; the parallel backend overrides this to fan
-        chunks out over worker processes.  ``chunk_size`` bounds peak memory
-        (one chunk's metric columns); per-group streams derive from absolute
-        indices, so chunking never changes the numbers.
-        """
-        total = len(functions)
-        step = int(chunk_size) if chunk_size else total
-        step = max(1, min(step, total)) if total else 1
-        for start in range(0, total, step):
-            chunk = functions[start : start + step]
-            stats, counts = harness.measure_chunk_stats(
-                chunk,
-                index_offset=index_offset + start,
-                memory_sizes_mb=memory_sizes_mb,
-                workload=workload,
-            )
-            if on_chunk is not None:
-                on_chunk(start, chunk, stats, counts)
-            if progress_callback is not None:
-                for k, function in enumerate(chunk):
-                    progress_callback(start + k + 1, total, function.name)
-
-    def measure_functions(
-        self,
-        harness,
-        functions: list["FunctionSpec"],
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: "Workload | None" = None,
-        progress_callback: Callable[[int, int, str], None] | None = None,
-        index_offset: int = 0,
-    ):
-        """Measure a list of functions through a harness (sequential default).
-
-        ``index_offset`` is the absolute position of ``functions[0]`` within
-        the overall measurement run.  Every per-group random stream derives
-        from that absolute position (:mod:`repro.simulation.seeding`), so a
-        chunked caller (the harness streaming into a sharded sink), a worker
-        process and this sequential default all reproduce the same numbers.
-        """
-        measurements = []
-        for index, function in enumerate(functions):
-            measurements.append(
-                harness.measure_function(
-                    function,
-                    memory_sizes_mb=memory_sizes_mb,
-                    workload=workload,
-                    index=index_offset + index,
-                )
-            )
-            if progress_callback is not None:
-                progress_callback(index + 1, len(functions), function.name)
-        return measurements
-
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {}
 
@@ -468,32 +309,12 @@ def available_backends() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def get_backend(
-    backend: str | ExecutionBackend,
-    n_workers: int | None = None,
-    dtype: str = "float64",
-    noise: str = "per-group",
-) -> ExecutionBackend:
+def get_backend(backend: str | ExecutionBackend) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
-    Parameters
-    ----------
-    backend:
-        Registered backend name (``"serial"``, ``"vectorized"``,
-        ``"parallel"``, ``"compiled"``) or an already-constructed backend
-        instance (returned as-is; the other arguments are then ignored).
-    n_workers:
-        Worker count forwarded to backends that parallelize (ignored by the
-        single-threaded ones).
-    dtype:
-        Compute dtype of the grouped hot path, ``"float64"`` (default,
-        bit-exact parity) or ``"float32"`` (statistical parity, ~2× memory
-        bandwidth; compiled backend only).
-    noise:
-        Noise-draw mode, ``"per-group"`` (default: one independent stream
-        per group, bit-exact across backends and scheduling orders) or
-        ``"pooled"`` (one window stream for all groups; compiled backend
-        only, statistical parity).
+    ``backend`` is a registered backend name (``"serial"`` or
+    ``"vectorized"``) or an already-constructed backend instance, which is
+    returned as-is.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -503,4 +324,4 @@ def get_backend(
         raise ConfigurationError(
             f"unknown execution backend {backend!r}; available: {available_backends()}"
         ) from None
-    return cls(n_workers=n_workers, dtype=dtype, noise=noise)
+    return cls()

@@ -3,7 +3,7 @@
 Kept as the reference implementation: it drives
 :meth:`~repro.simulation.platform.ServerlessPlatform.invoke` once per arrival,
 so per-invocation records land in the platform log exactly as before.  The
-parity tests compare the vectorized and parallel backends against it.
+parity tests compare the vectorized backend against it.
 """
 
 from __future__ import annotations

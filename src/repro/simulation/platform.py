@@ -336,7 +336,7 @@ class ServerlessPlatform:
         timestamps_s:
             Arrival timestamps (seconds, need not be sorted).
         backend:
-            Backend name (``"serial"``, ``"vectorized"``, ``"parallel"``) or an
+            Backend name (``"serial"`` or ``"vectorized"``) or an
             :class:`~repro.simulation.engine.ExecutionBackend` instance;
             defaults to the serial (scalar) path.
         rng:
@@ -347,7 +347,7 @@ class ServerlessPlatform:
         Returns a :class:`~repro.simulation.engine.BatchResult` with one column
         per invocation attribute.  The serial backend also appends every
         invocation to the log (exactly like :meth:`invoke`); the vectorized
-        and parallel backends only update billing totals and instance state,
+        backend only updates billing totals and instance state,
         keeping memory bounded during large runs.
         """
         from repro.simulation.engine import get_backend
@@ -357,18 +357,6 @@ class ServerlessPlatform:
         if np.any(arrivals < 0):
             raise SimulationError("at_time_s must be non-negative")
         return resolved.run_batch(self, name, arrivals, rng=rng)
-
-    def invoke_grouped(self, requests):
-        """Execute many (function, size) groups as one fused columnar pass.
-
-        Thin convenience wrapper around the fused executor
-        (:func:`repro.simulation.engine.grouped.run_grouped`); see there for
-        semantics.  Returns a
-        :class:`~repro.simulation.engine.grouped.GroupedBatch`.
-        """
-        from repro.simulation.engine.grouped import run_grouped
-
-        return run_grouped(self, requests)
 
     # ---------------------------------------------------------------- billing
     def _note_cost(self, name: str, cost_usd: float) -> None:

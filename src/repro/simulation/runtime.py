@@ -85,12 +85,12 @@ class TimingBreakdown:
 class RuntimeBatchInputs:
     """Profile/platform inputs of the Table-1 metric formulas.
 
-    Every field may be a scalar (one function at one memory size — the
+    Every field is either a scalar (one function at one memory size — the
     per-batch path of :meth:`NodeRuntimeModel.metrics_batch`) or a
-    per-invocation array (many groups flattened into one columnar mega-batch
-    — the fused path of :mod:`repro.simulation.engine.grouped`).  The metric
-    formulas are pure elementwise arithmetic, so both parameterizations run
-    through one implementation and produce bit-identical values.
+    per-group array (many groups flattened into one columnar mega-batch —
+    :meth:`NodeRuntimeModel.metrics_batch_grouped`, which gathers each value
+    by group id).  The metric formulas are pure elementwise arithmetic, so
+    both parameterizations produce bit-identical values.
     """
 
     memory_mb: float | np.ndarray
@@ -299,9 +299,7 @@ class NodeRuntimeModel:
 
         One row per jittered metric formula, clipped at 0.5 exactly like the
         scalar path's per-invocation draws.  With ``counter_noise <= 0`` the
-        generator is not consumed and unit factors are returned.  Exposed so
-        the fused grouped executor can pre-draw each group's jitters from its
-        own stream in the same order the per-batch path would.
+        generator is not consumed and unit factors are returned.
         """
         if counter_noise > 0:
             return np.maximum(rng.normal(1.0, counter_noise, size=(13, n)), 0.5)
@@ -342,51 +340,7 @@ class NodeRuntimeModel:
             profile, memory_mb, cpu_share, pressure_factor,
             service_bytes_in, service_bytes_out,
         )
-        return self.metrics_batch_inputs(
-            inputs,
-            cpu_ms=cpu_ms,
-            fs_ms=fs_ms,
-            network_ms=network_ms,
-            service_ms=service_ms,
-            total_ms=total_ms,
-            jitters=self.draw_jitters(rng, n, counter_noise),
-        )
-
-    def metrics_batch_inputs(
-        self,
-        inputs: RuntimeBatchInputs,
-        cpu_ms: np.ndarray,
-        fs_ms: np.ndarray,
-        network_ms: np.ndarray,
-        service_ms: np.ndarray,
-        total_ms: np.ndarray,
-        jitters: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        """Metric formulas over explicit scalar-or-array inputs.
-
-        The single implementation behind :meth:`metrics_batch` (scalar inputs
-        of one function at one size) and the fused cross-function path
-        (per-invocation input arrays gathered over a group-id column): all
-        formulas are elementwise, so the two parameterizations are
-        bit-identical where their expanded input values agree.
-
-        Parameters
-        ----------
-        inputs:
-            Profile/platform formula inputs (scalars or per-invocation
-            arrays), see :class:`RuntimeBatchInputs`.
-        cpu_ms / fs_ms / network_ms / service_ms / total_ms:
-            Per-invocation wall-clock components with all multiplicative
-            noise applied.
-        jitters:
-            Pre-drawn ``(13, n)`` counter-jitter factors
-            (:meth:`draw_jitters`).
-        """
-        if np.any(np.asarray(inputs.memory_mb) <= 0):
-            raise SimulationError("memory_mb must be positive")
-        if np.any(np.asarray(inputs.cpu_share) <= 0):
-            raise SimulationError("cpu_share must be positive")
-        n = int(np.asarray(total_ms).shape[0])
+        jitters = self.draw_jitters(rng, n, counter_noise)
         memory_mb = inputs.memory_mb
 
         user_cpu = inputs.cpu_user_ms * inputs.pressure_factor * jitters[0]
@@ -491,8 +445,8 @@ class NodeRuntimeModel:
     ) -> dict[str, np.ndarray]:
         """Temporary-free grouped evaluation of the Table-1 metric formulas.
 
-        The gather-based counterpart of :meth:`metrics_batch_inputs` used by
-        the compiled execution backend: ``inputs`` holds one value per
+        The gather-based counterpart of :meth:`metrics_batch` used by the
+        vectorized backend's grouped executor: ``inputs`` holds one value per
         *group* (``(n_groups,)`` arrays) and ``group_ids`` maps each of the
         ``n`` invocations to its group, so the expensive
         ``np.repeat(columns, sizes)`` expansion never materializes.  Every
@@ -502,22 +456,31 @@ class NodeRuntimeModel:
         the 25 result arrays themselves.
 
         Elementwise formula evaluation is length-independent, and the op
-        order below matches :meth:`metrics_batch_inputs` operation for
-        operation, so the result is bit-identical to expanding ``inputs`` to
-        per-invocation columns and calling :meth:`metrics_batch_inputs`.
+        order below matches :meth:`metrics_batch` operation for operation,
+        so each group's rows are bit-identical to :meth:`metrics_batch` on
+        that group alone with the same jitters.
 
-        Parameters match :meth:`metrics_batch_inputs` except ``group_ids``
-        (the ``(n,)`` int gather index) and ``scratch`` (two ``(n,)``
-        buffers of the compute dtype; allocated here when ``None``).
+        Parameters
+        ----------
+        inputs:
+            Per-group formula inputs, see :class:`RuntimeBatchInputs`.
+        group_ids:
+            ``(n,)`` int gather index from invocation to group.
+        cpu_ms / fs_ms / network_ms / service_ms / total_ms:
+            Per-invocation wall-clock components with all multiplicative
+            noise applied.
+        jitters:
+            Pre-drawn ``(13, n)`` counter-jitter factors, clipped at 0.5.
+        scratch:
+            Two ``(n,)`` float buffers (allocated here when ``None``).
         """
         if np.any(np.asarray(inputs.memory_mb) <= 0):
             raise SimulationError("memory_mb must be positive")
         if np.any(np.asarray(inputs.cpu_share) <= 0):
             raise SimulationError("cpu_share must be positive")
         n = int(np.asarray(total_ms).shape[0])
-        dtype = np.asarray(total_ms).dtype
         if scratch is None:
-            scratch = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
+            scratch = (np.empty(n), np.empty(n))
         s1, s2 = scratch
         g_memory = inputs.memory_mb
 
@@ -602,7 +565,7 @@ class NodeRuntimeModel:
         mean_lag = np.add(s1, 0.05)
         np.multiply(mean_lag, 3.0, out=s1)
         max_lag = np.add(s1, 0.1)
-        min_lag = np.full(n, 0.02, dtype=dtype)
+        min_lag = np.full(n, 0.02)
         std_lag = np.multiply(mean_lag, 0.8)
 
         return {

@@ -1,22 +1,21 @@
 """Deterministic per-group random stream derivation (one ``SeedSequence`` route).
 
 Every hot path that simulates many (function, size) or (function, window)
-groups — the measurement harness, the parallel worker processes, the fleet
-simulator and the fused grouped executor — needs its *own* random stream per
-group, for two reasons:
+groups — the measurement harness, the fleet simulator and the fused grouped
+executor — needs its *own* random stream per group, for two reasons:
 
 1. **Structural parity.**  The fused cross-function executor
    (:mod:`repro.simulation.engine.grouped`) computes many groups in one
    columnar pass, while the looped path executes one batch per group.  Both
    produce bit-identical numbers only when every group draws its noise from
    an independent stream that does not depend on scheduling order.
-2. **Reproducible parallelism.**  Worker processes measuring function ``i``
-   must draw the same noise the sequential schedule would, regardless of
-   worker count or completion order.
+2. **Schedule independence.**  A chunked or sharded run measuring function
+   ``i`` must draw the same noise the one-shot sequential schedule would,
+   regardless of chunk size.
 
-Before this module existed, those seeds were derived ad hoc (a prime stride
-in the parallel backend, a shared sequential stream in the harness and the
-load generator), so parity was coincidental.  All per-group streams are now
+Before this module existed, those seeds were derived ad hoc (a shared
+sequential stream in the harness and the load generator), so parity was
+coincidental.  All per-group streams are now
 spawned here, from one scheme: ``SeedSequence(base_seed,
 spawn_key=(stream_role, *group_key))``.  Distinct roles keep e.g. the
 arrival stream of group ``(3, 1)`` independent from its execution-noise

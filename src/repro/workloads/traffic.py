@@ -920,81 +920,6 @@ class FleetTrafficSchedule:
             max_per_function,
         )
 
-    def sample_window_keyed(
-        self,
-        start_s: float,
-        end_s: float,
-        rngs: list[np.random.Generator],
-        max_per_function: int | None = None,
-    ) -> FleetArrivals:
-        """Sample one window with per-function streams through the fused kernels.
-
-        Bit-identical to calling ``self.models[i].arrivals(start_s, end_s,
-        rngs[i])`` per function (the per-function-deterministic traffic
-        mode): every function draws its Poisson candidate count, its sorted
-        candidate uniforms and its thinning uniforms from its *own* stream,
-        in exactly :meth:`TrafficModel.arrivals` order — but the rate
-        evaluation that decides the thinning runs once through the batched
-        per-class kernels instead of one Python :meth:`~TrafficModel.rate`
-        call per function, and the window is assembled columnar.
-
-        Parameters
-        ----------
-        start_s / end_s:
-            The window ``[start, end)``.
-        rngs:
-            One generator per fleet function (e.g. from
-            :func:`repro.simulation.seeding.keyed_child_rngs`); each is
-            consumed exactly as :meth:`TrafficModel.arrivals` would.
-        max_per_function:
-            Optional per-function arrival cap (same ``linspace`` subsampling
-            as the reference path, applied after thinning).
-        """
-        start_s, end_s = _require_window(start_s, end_s)
-        duration = end_s - start_s
-        n = self.n_functions
-        if len(rngs) != n:
-            raise ConfigurationError(
-                f"got {len(rngs)} streams for {n} scheduled traffic models"
-            )
-        peaks = self.thinning_peaks
-        counts = np.zeros(n, dtype=np.int64)
-        trace_members = set(self._trace_indices)
-        time_parts: list[np.ndarray] = []
-        uniform_parts: list[np.ndarray] = []
-        for i in range(n):
-            if i in trace_members:
-                continue  # replay is exact and never consumes its stream
-            rng = rngs[i]
-            peak = peaks[i]
-            c = int(rng.poisson(peak * duration))
-            if c == 0:
-                continue
-            counts[i] = c
-            time_parts.append(np.sort(rng.uniform(start_s, end_s, c)))
-            uniform_parts.append(rng.uniform(0.0, peak, c))
-        if time_parts:
-            times = np.concatenate(time_parts)
-            uniforms = np.concatenate(uniform_parts)
-        else:
-            times = np.empty(0, dtype=float)
-            uniforms = np.empty(0, dtype=float)
-        gids = np.repeat(np.arange(n, dtype=np.int64), counts)
-        rates = self._candidate_rates(gids, times, counts)
-        accept = uniforms < rates
-        kept_times = times[accept]
-        kept_gids = gids[accept]
-        kept_counts = np.bincount(kept_gids, minlength=n).astype(np.int64)
-        special: dict[int, np.ndarray] = {}
-        for i in self._trace_indices:
-            replay = self.models[i].arrivals(start_s, end_s, rngs[i])
-            if replay.shape[0]:
-                special[i] = replay
-        return self._assemble(
-            start_s, end_s, kept_times, kept_gids, kept_counts, special,
-            max_per_function,
-        )
-
     def _candidate_rates(
         self, gids: np.ndarray, times: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:

@@ -13,6 +13,9 @@ from repro.core.model import SizelessModel, SizelessModelConfig
 from repro.core.training import build_training_matrices
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
+from repro.fleet import SparseFleetWindow
+from repro.monitoring.aggregation import STAT_NAMES
+from repro.monitoring.metrics import METRIC_NAMES
 from repro.ml.network import NetworkConfig
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
@@ -137,3 +140,58 @@ def trained_model(small_matrices, tiny_network_config) -> SizelessModel:
 def sample_summary(small_dataset):
     """A monitoring summary at 256 MB for one function of the session dataset."""
     return small_dataset.measurements[0].summary_at(256)
+
+
+def run_looped_window(simulator) -> SparseFleetWindow:
+    """Advance a fleet simulator one window through a per-function loop.
+
+    The looped reference of ``FleetSimulator.run_window``: the same fleet
+    traffic draw and the same per-function execution streams, but one
+    ``platform.invoke_batch`` engine batch and one stat reduction per active
+    function instead of one fused mega-batch.  Cohort deduplication is not
+    modelled (the reference is the exact path).
+    """
+    config = simulator.config
+    start_s = simulator.clock_s
+    end_s = start_s + config.window_s
+    arrivals = simulator._sample_arrivals(start_s, end_s)
+    active = arrivals.active()
+    rngs = simulator._execution_rngs(active)
+    k = active.shape[0]
+    stats = np.zeros((k, len(METRIC_NAMES), len(STAT_NAMES)))
+    n_invocations = np.zeros(k, dtype=np.int64)
+    n_cold_starts = np.zeros(k, dtype=np.int64)
+    cost_usd = np.zeros(k)
+    for j, i in enumerate(active.tolist()):
+        name = simulator.functions[i].name
+        batch = simulator.platform.invoke_batch(
+            name, arrivals.arrivals_of(i), backend=simulator.backend, rng=rngs[j]
+        )
+        stats[j], n_invocations[j] = batch.aggregate_stats(
+            warmup_s=0.0, exclude_cold_starts=config.exclude_cold_starts
+        )
+        n_cold_starts[j] = batch.n_cold_starts
+        cost_usd[j] = batch.total_cost_usd
+        if config.stream_records:
+            simulator.platform.discard_function_records(name)
+    window = SparseFleetWindow(
+        index=simulator.windows_run,
+        start_s=start_s,
+        end_s=end_s,
+        memory_mb=simulator.current_memory_mb(),
+        active=active,
+        stats=stats,
+        n_invocations=n_invocations,
+        n_arrivals=arrivals.counts()[active],
+        n_cold_starts=n_cold_starts,
+        cost_usd=cost_usd,
+    )
+    simulator._clock_s = end_s
+    simulator._window_index += 1
+    return window
+
+
+@pytest.fixture()
+def looped_window():
+    """The per-function looped window reference (:func:`run_looped_window`)."""
+    return run_looped_window

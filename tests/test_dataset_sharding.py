@@ -11,7 +11,7 @@ Covers the four contracts of the sharded dataflow:
 3. **Error paths** — missing/truncated/tampered shard files and manifests
    raise :class:`~repro.errors.DatasetError`, never bare ``KeyError`` /
    ``ValueError``.
-4. **Integration** — pipeline, experiment context and the parallel-backend
+4. **Integration** — pipeline, experiment context and the serial-backend
    harness accept the sharded table end to end.
 """
 
@@ -506,17 +506,16 @@ class TestIntegration:
         with pytest.raises(ConfigurationError, match="sink expects"):
             harness.measure_table([cpu_function], sink=writer)
 
-    def test_parallel_backend_streams_into_writer(self, tmp_path):
-        # The parallel backend measures through its object path (it seeds
-        # per function, so its numbers differ from the sequential backends);
-        # the harness must columnarize into the provided sink exactly as it
-        # does into the in-memory builder.
+    def test_serial_backend_streams_into_writer(self, tmp_path):
+        # The serial backend measures one batch per (function, size) pair
+        # instead of fused chunks; the harness must stream those rows into
+        # the provided sink exactly as it does into the in-memory builder.
         config = dict(n_functions=4, invocations_per_size=5, seed=13)
         reference = TrainingDatasetGenerator(
-            DatasetGenerationConfig(backend="parallel", n_workers=2, **config)
+            DatasetGenerationConfig(backend="serial", **config)
         ).generate_table()
         sharded = TrainingDatasetGenerator(
-            DatasetGenerationConfig(backend="parallel", n_workers=2, **config)
+            DatasetGenerationConfig(backend="serial", **config)
         ).generate_table(shard_size=3, shard_directory=tmp_path)
         assert sharded.n_shards == 2
         assert_tables_equal(sharded, reference, check_metadata=False)

@@ -1,7 +1,7 @@
 """Parity tests for the pluggable execution backends.
 
-The vectorized and parallel backends must reproduce the serial (scalar)
-backend's behaviour:
+The vectorized backend must reproduce the serial (scalar) backend's
+behaviour:
 
 - *exactly* when every noise source is disabled (same invocation-major random
   draw order, same floating-point pipeline), and
@@ -23,7 +23,6 @@ from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
     ExecutionBackend,
-    ParallelBackend,
     SerialBackend,
     VectorizedBackend,
     available_backends,
@@ -98,14 +97,11 @@ def _arrivals(n: int, duration_s: float = 300.0, seed: int = 7) -> np.ndarray:
 
 class TestRegistry:
     def test_available_backends(self):
-        assert {"serial", "vectorized", "parallel", "compiled"} <= set(
-            available_backends()
-        )
+        assert available_backends() == ["serial", "vectorized"]
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("vectorized"), VectorizedBackend)
-        assert isinstance(get_backend("parallel", n_workers=2), ParallelBackend)
 
     def test_get_backend_passthrough(self):
         backend = VectorizedBackend()
@@ -116,10 +112,6 @@ class TestRegistry:
             get_backend("gpu")
         with pytest.raises(ConfigurationError):
             HarnessConfig(backend="gpu")
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            ParallelBackend(n_workers=0)
 
 
 class TestExactParity:
@@ -215,93 +207,6 @@ class TestStatisticalParity:
                 agg_s.mean(metric), rel=0.05, abs=1e-6
             ), metric
 
-    def test_parallel_run_batch_equals_vectorized(self):
-        arrivals = _arrivals(500)
-        vectorized, _ = _run("vectorized", PROFILES["service_bound"], arrivals, seed=3)
-        parallel, _ = _run("parallel", PROFILES["service_bound"], arrivals, seed=3)
-        np.testing.assert_array_equal(
-            vectorized.execution_time_ms, parallel.execution_time_ms
-        )
-        for metric in METRIC_NAMES:
-            np.testing.assert_array_equal(
-                vectorized.metrics[metric], parallel.metrics[metric], err_msg=metric
-            )
-
-    def test_parallel_measurements_match_vectorized(self):
-        functions = [
-            FunctionSpec(name=f"fn-{name}", profile=profile)
-            for name, profile in sorted(PROFILES.items())
-        ]
-        sizes = (256, 1024)
-
-        def measure(backend, n_workers=None):
-            harness = MeasurementHarness(
-                config=HarnessConfig(
-                    memory_sizes_mb=sizes,
-                    max_invocations_per_size=60,
-                    seed=11,
-                    backend=backend,
-                    n_workers=n_workers,
-                )
-            )
-            return harness.measure_many(functions)
-
-        reference = measure("vectorized")
-        parallel = measure("parallel", n_workers=2)
-        assert [m.function_name for m in parallel] == [m.function_name for m in reference]
-        for ref, par in zip(reference, parallel):
-            for size in sizes:
-                assert par.execution_time_ms(size) == pytest.approx(
-                    ref.execution_time_ms(size), rel=0.10
-                )
-
-    def test_parallel_reproducible_across_worker_counts(self):
-        functions = [
-            FunctionSpec(name=f"repro-{name}", profile=profile)
-            for name, profile in sorted(PROFILES.items())
-        ]
-
-        def measure(n_workers):
-            harness = MeasurementHarness(
-                config=HarnessConfig(
-                    memory_sizes_mb=(256,),
-                    max_invocations_per_size=8,
-                    seed=6,
-                    backend="parallel",
-                    n_workers=n_workers,
-                )
-            )
-            return harness.measure_many(functions)
-
-        single = measure(1)
-        pooled = measure(2)
-        for one, two in zip(single, pooled):
-            assert one.execution_time_ms(256) == pytest.approx(
-                two.execution_time_ms(256), rel=1e-12
-            )
-
-    def test_parallel_progress_callback(self):
-        functions = [
-            FunctionSpec(name=f"fn-{name}", profile=profile)
-            for name, profile in sorted(PROFILES.items())
-        ]
-        harness = MeasurementHarness(
-            config=HarnessConfig(
-                memory_sizes_mb=(256,),
-                max_invocations_per_size=8,
-                seed=2,
-                backend="parallel",
-                n_workers=2,
-            )
-        )
-        calls = []
-        harness.measure_many(
-            functions, progress_callback=lambda i, n, name: calls.append((i, n, name))
-        )
-        assert len(calls) == len(functions)
-        assert {done for done, _, _ in calls} == {1, 2, 3}
-
-
 class TestBatchBookkeeping:
     """Billing totals, record streaming and compat materialization."""
 
@@ -350,27 +255,6 @@ class TestBatchBookkeeping:
         # serial backend materializes records, the harness then discards them
         assert harness.platform.records_for("streamed") == []
         assert harness.platform.total_cost_usd("streamed") > 0.0
-
-    def test_parallel_measure_many_propagates_billing(self):
-        functions = [
-            FunctionSpec(name=f"bill-{name}", profile=profile)
-            for name, profile in sorted(PROFILES.items())[:2]
-        ]
-        harness = MeasurementHarness(
-            config=HarnessConfig(
-                memory_sizes_mb=(256,),
-                max_invocations_per_size=6,
-                seed=4,
-                backend="parallel",
-                n_workers=2,
-            )
-        )
-        harness.measure_many(functions)
-        for function in functions:
-            assert harness.platform.total_cost_usd(function.name) > 0.0
-        assert harness.platform.total_cost_usd() == pytest.approx(
-            sum(harness.platform.total_cost_usd(f.name) for f in functions)
-        )
 
     def test_custom_backend_instance(self):
         class CountingBackend(VectorizedBackend):

@@ -1,23 +1,18 @@
-"""Parity, mode and fallback tests for the compiled (kernelized) backend.
+"""Parity tests for the kernelized grouped executor.
 
-The compiled backend's contract has three tiers:
-
-- **Bit-exact** in the default ``float64`` / ``per-group`` configuration:
-  every stat, cold-start flag, instance id and the platform pool state must
-  match the vectorized backend (and therefore the serial reference) bit for
-  bit, across warm-pool carryover, resizes, duplicate-name batches, fresh
-  pools and overlapping (unsafe) arrivals.
-- **Statistical** in the opt-in ``dtype="float32"`` and ``noise="pooled"``
-  modes: fleet-level aggregates stay within tight tolerance of the default
-  configuration while arrival streams are untouched.
-- **Graceful** around the optional numba dependency: present, broken or
-  absent numba must all yield the same results, never an import error.
+``VectorizedBackend.run_grouped`` is the one fast path for grouped
+execution: a cross-group instance walk, a gather-based temporary-free
+metric kernel and raw per-group noise draws.  Its contract is bit-exactness
+against the looped reference — ``ExecutionBackend.run_grouped``, which
+executes one ``VectorizedBackend.run_batch`` per group — for every stat,
+cold-start flag, instance id and the platform pool state, across warm-pool
+carryover, resizes, duplicate-name batches, fresh pools and overlapping
+(unsafe) arrivals.  With noise disabled the ``serial`` scalar oracle agrees
+too.
 """
 
 from __future__ import annotations
 
-import sys
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +22,12 @@ from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
-    CompiledBackend,
+    ExecutionBackend,
     GroupRequest,
+    VectorizedBackend,
     available_backends,
     get_backend,
 )
-from repro.simulation.engine import compiled as compiled_mod
 from repro.simulation.engine import grouped as grouped_mod
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
@@ -46,6 +41,17 @@ from repro.workloads.traffic import (
     RampTraffic,
     TraceTraffic,
 )
+
+
+class LoopedVectorizedBackend(VectorizedBackend):
+    """The looped reference: one ``run_batch`` per group, no grouped kernel."""
+
+    run_grouped = ExecutionBackend.run_grouped
+
+
+def _backend(name):
+    """Resolve a registered backend name or ``"looped"`` (the reference)."""
+    return LoopedVectorizedBackend() if name == "looped" else get_backend(name)
 
 
 def _functions(n, seed=11, prefix="cmp"):
@@ -85,7 +91,7 @@ TRAFFIC_FACTORIES = {
 
 
 class TestFleetWindowParity:
-    """Compiled fleet windows are bit-identical to vectorized, per traffic model."""
+    """Kernel fleet windows equal the looped ``run_batch`` reference, per traffic model."""
 
     @pytest.mark.parametrize("model_name", sorted(TRAFFIC_FACTORIES))
     def test_compiled_equals_vectorized(self, model_name):
@@ -93,19 +99,18 @@ class TestFleetWindowParity:
         functions = _functions(12, seed=31, prefix=f"cfleet-{model_name}")
         traffic = [factory(i) for i in range(len(functions))]
 
-        def run(backend):
+        def run(backend_name):
             simulator = FleetSimulator(
-                functions,
-                traffic,
-                FleetConfig(window_s=3600.0, seed=17, fused=True, backend=backend),
+                functions, traffic, FleetConfig(window_s=3600.0, seed=17)
             )
+            simulator.backend = _backend(backend_name)
             windows = [simulator.run_window() for _ in range(2)]
             simulator.resize(0, 1024)  # warm pools drop for fn 0 only
             windows.append(simulator.run_window())
             return windows
 
-        for compiled_window, vectorized_window in zip(run("compiled"), run("vectorized")):
-            assert_windows_equal(compiled_window, vectorized_window)
+        for kernel_window, looped_window in zip(run("vectorized"), run("looped")):
+            assert_windows_equal(kernel_window, looped_window)
 
 
 class TestGroupedEdgeParity:
@@ -152,12 +157,16 @@ class TestGroupedEdgeParity:
         ]
         return reqs
 
-    def _run(self, backend_name):
+    def _run(self, backend_name, noise_free=False):
         funcs = _functions(6, seed=7, prefix="edge")
-        platform = ServerlessPlatform(PlatformConfig(seed=23))
+        if noise_free:
+            platform = ServerlessPlatform.noise_free(seed=23)
+            platform.cold_start_model = ColdStartModel(noise_cv=0.0)
+        else:
+            platform = ServerlessPlatform(PlatformConfig(seed=23))
         for f in funcs:
             platform.deploy(f.name, f.profile, 512)
-        backend = get_backend(backend_name)
+        backend = _backend(backend_name)
         first = backend.run_grouped(platform, self._build_requests(platform, funcs))
         # second window: warm pools carried over, same names again
         shifted = [
@@ -170,9 +179,19 @@ class TestGroupedEdgeParity:
         second = backend.run_grouped(platform, shifted)
         return platform, funcs, first, second
 
+    @staticmethod
+    def _pools(platform, funcs):
+        return {
+            f.name: [
+                (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
+                for i in platform._instances[f.name]
+            ]
+            for f in funcs
+        }
+
     def test_batches_and_pool_state_bit_identical(self):
         pa, funcs, a1, a2 = self._run("vectorized")
-        pb, _, b1, b2 = self._run("compiled")
+        pb, _, b1, b2 = self._run("looped")
         for a, b in ((a1, b1), (a2, b2)):
             (blk_a, cnt_a), (blk_b, cnt_b) = a.aggregate_stats(), b.aggregate_stats()
             np.testing.assert_array_equal(blk_a, blk_b)
@@ -182,35 +201,24 @@ class TestGroupedEdgeParity:
             np.testing.assert_array_equal(a.init_duration_ms, b.init_duration_ms)
             np.testing.assert_allclose(a.cost_usd, b.cost_usd, rtol=1e-12)
         assert pa._next_instance_id == pb._next_instance_id
+        assert self._pools(pa, funcs) == self._pools(pb, funcs)
         for f in funcs:
-            pool_a = [
-                (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-                for i in pa._instances[f.name]
-            ]
-            pool_b = [
-                (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-                for i in pb._instances[f.name]
-            ]
-            assert pool_a == pool_b
             assert (
                 pa._functions[f.name].invocation_count
                 == pb._functions[f.name].invocation_count
             )
 
-    def test_grouped_batch_dtype_property(self):
-        funcs = _functions(2, seed=8, prefix="dt")
-        platform = ServerlessPlatform(PlatformConfig(seed=5))
-        for f in funcs:
-            platform.deploy(f.name, f.profile, 512)
-        reqs = [
-            GroupRequest.for_deployed(
-                platform, f.name, np.array([10.0 * i]),
-                child_rng(5, STREAM_EXECUTION, 0, i),
-            )
-            for i, f in enumerate(funcs)
-        ]
-        batch = get_backend("compiled").run_grouped(platform, reqs)
-        assert batch.dtype == np.float64
+    def test_serial_oracle_agrees_noise_free(self):
+        pa, _, a1, a2 = self._run("vectorized", noise_free=True)
+        pb, _, b1, b2 = self._run("serial", noise_free=True)
+        for a, b in ((a1, b1), (a2, b2)):
+            np.testing.assert_array_equal(a.cold_start, b.cold_start)
+            np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
+            (blk_a, cnt_a), (blk_b, cnt_b) = a.aggregate_stats(), b.aggregate_stats()
+            np.testing.assert_array_equal(cnt_a, cnt_b)
+            # Scalar vs vectorized arithmetic: equal up to summation order.
+            np.testing.assert_allclose(blk_a, blk_b, rtol=1e-9, atol=1e-12)
+        assert pa._next_instance_id == pb._next_instance_id
 
 
 class TestDisagreementPath:
@@ -221,7 +229,8 @@ class TestDisagreementPath:
     pair's right arrival then depends on the left arrival's own (recursive)
     state.  With noise disabled the execution/init durations are exact, so
     the geometry below provably produces such pairs, and the resolved chains
-    must agree bit for bit across serial, vectorized and compiled backends.
+    must agree bit for bit across the serial oracle, the grouped kernel and
+    the looped ``run_batch`` reference.
     """
 
     def _platform(self, seed=0):
@@ -278,17 +287,17 @@ class TestDisagreementPath:
             request = GroupRequest.for_deployed(
                 platform, "dis-fn", arrivals, child_rng(0, STREAM_EXECUTION, 0, 0)
             )
-            return get_backend(backend).run_grouped(platform, [request])
+            return _backend(backend).run_grouped(platform, [request])
 
         serial = run("serial")
-        vectorized = run("vectorized")
-        compiled = run("compiled")
+        kernel = run("vectorized")
+        looped = run("looped")
         # the disagreement branch must actually fire: runs re-warm behind
         # cold starts, so the chain is neither all-cold nor all-warm
         np.testing.assert_array_equal(
             serial.cold_start, np.arange(12) % 2 == 0
         )
-        for other in (vectorized, compiled):
+        for other in (kernel, looped):
             np.testing.assert_array_equal(serial.cold_start, other.cold_start)
             np.testing.assert_array_equal(serial.instance_ids, other.instance_ids)
             np.testing.assert_array_equal(
@@ -314,192 +323,19 @@ class TestDisagreementPath:
             )
 
 
-class TestFloat32Mode:
-    """Opt-in single-precision compute: statistical parity, dtype plumbing."""
-
-    def _windows(self, **knobs):
-        functions = _functions(16, seed=5, prefix="f32")
-        traffic = [
-            DiurnalTraffic(mean_rate_rps=0.02, amplitude=0.5, phase_s=500.0 * i)
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=13, fused=True, **knobs),
-        )
-        return [simulator.run_window() for _ in range(3)]
-
-    def test_float32_statistical_parity(self):
-        base = self._windows(backend="compiled")
-        f32 = self._windows(backend="compiled", dtype="float32")
-        for wa, wb in zip(base, f32):
-            np.testing.assert_array_equal(wa.active, wb.active)
-            np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
-            a = np.asarray(wa.stats, dtype=np.float64)
-            b = np.asarray(wb.stats, dtype=np.float64)
-            mask = np.abs(a) > 1e-9
-            rel = np.abs(a[mask] - b[mask]) / np.abs(a[mask])
-            # single-precision arithmetic: per-cell agreement at ~1e-6
-            assert float(np.quantile(rel, 0.99)) < 1e-4
-
-    def test_float32_requires_compiled(self):
-        with pytest.raises(ConfigurationError, match="float32"):
-            get_backend("vectorized", dtype="float32")
-        with pytest.raises(ConfigurationError, match="float32"):
-            get_backend("serial", dtype="float32")
-        assert get_backend("compiled", dtype="float32").dtype == "float32"
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ConfigurationError, match="dtype"):
-            get_backend("compiled", dtype="float16")
-        with pytest.raises(ConfigurationError, match="dtype"):
-            FleetConfig(window_s=3600.0, dtype="float16")
-
-
-class TestPooledNoise:
-    """Opt-in pooled noise stream: statistical parity, config coupling."""
-
-    def _windows(self, **knobs):
-        functions = _functions(16, seed=5, prefix="pool")
-        traffic = [
-            DiurnalTraffic(mean_rate_rps=0.02, amplitude=0.5, phase_s=500.0 * i)
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=13, fused=True, **knobs),
-        )
-        return [simulator.run_window() for _ in range(3)]
-
-    def test_pooled_statistical_parity(self):
-        base = self._windows(backend="compiled")
-        pooled = self._windows(backend="compiled", noise="pooled")
-        for wa, wb in zip(base, pooled):
-            # arrivals are drawn from the traffic streams, not the noise
-            # streams: pooling must leave them untouched
-            np.testing.assert_array_equal(wa.active, wb.active)
-            np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
-        a = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in base])
-        b = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in pooled])
-        assert abs(a - b) / abs(a) < 0.05
-
-    def test_default_stays_bit_exact_per_group(self):
-        # the pooled mode is opt-in: a default-config compiled simulator
-        # must still match vectorized bit for bit (regression guard for the
-        # draw-order contract)
-        functions = _functions(6, seed=9, prefix="defg")
-        traffic = [ConstantTraffic(rate_rps=0.01)] * len(functions)
-        runs = {}
-        for backend in ("vectorized", "compiled"):
-            simulator = FleetSimulator(
-                functions,
-                traffic,
-                FleetConfig(window_s=3600.0, seed=21, fused=True, backend=backend),
-            )
-            runs[backend] = [simulator.run_window() for _ in range(2)]
-        for a, b in zip(runs["vectorized"], runs["compiled"]):
-            assert_windows_equal(a, b)
-
-    def test_pooled_requires_compiled_and_fused(self):
-        with pytest.raises(ConfigurationError, match="pooled"):
-            get_backend("vectorized", noise="pooled")
-        with pytest.raises(ConfigurationError, match="fused"):
-            FleetConfig(window_s=3600.0, noise="pooled", fused=False, backend="compiled")
-        with pytest.raises(ConfigurationError, match="window_shard_size"):
-            FleetConfig(
-                window_s=3600.0, noise="pooled", backend="compiled",
-                window_shard_size=8,
-            )
-        with pytest.raises(ConfigurationError, match="noise"):
-            get_backend("compiled", noise="per-request")
-
-
-class TestNumbaFallback:
-    """Present, broken or absent numba must never change results."""
-
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        had = sys.modules.pop("numba", None)
-        compiled_mod._reset_numba_kernels()
-        yield
-        if had is not None:
-            sys.modules["numba"] = had
-        else:
-            sys.modules.pop("numba", None)
-        compiled_mod._reset_numba_kernels()
-
-    def _windows(self):
-        functions = _functions(8, seed=3, prefix="nb")
-        traffic = [
-            BurstyTraffic(
-                base_rate_rps=0.004, burst_rate_rps=0.3,
-                burst_every_s=1800.0, burst_duration_s=120.0, burst_seed=i,
-            )
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=9, fused=True, backend="compiled"),
-        )
-        return [simulator.run_window() for _ in range(2)]
-
-    def test_without_numba_pure_numpy(self):
-        backend = CompiledBackend()
-        assert not backend.uses_numba
-        assert backend.warmup() == 0.0
-
-    def test_with_monkeypatched_numba_same_results(self):
-        base = self._windows()
-        fake = types.ModuleType("numba")
-        fake.njit = lambda f=None, **kw: f if f is not None else (lambda g: g)
-        sys.modules["numba"] = fake
-        compiled_mod._reset_numba_kernels()
-        backend = CompiledBackend()
-        assert backend.uses_numba
-        assert backend.warmup() >= 0.0
-        for a, b in zip(base, self._windows()):
-            assert_windows_equal(a, b)
-
-    def test_broken_numba_degrades_gracefully(self):
-        class Broken(types.ModuleType):
-            def __getattr__(self, name):
-                raise ImportError("broken install")
-
-        sys.modules["numba"] = Broken("numba")
-        compiled_mod._reset_numba_kernels()
-        assert not CompiledBackend().uses_numba
-
-
 class TestRegistryErrorPaths:
     """Satellite: registry error paths and name stability."""
 
     def test_unknown_backend_lists_available_names(self):
-        with pytest.raises(ConfigurationError, match="compiled"):
+        with pytest.raises(ConfigurationError, match="vectorized"):
             get_backend("gpu")
 
-    def test_compiled_registered_and_sorted(self):
-        names = available_backends()
-        assert "compiled" in names
-        assert names == sorted(names)
+    def test_only_serial_and_vectorized_registered(self):
+        assert available_backends() == ["serial", "vectorized"]
         # stable across calls (no registration side effects)
-        assert available_backends() == names
+        assert available_backends() == ["serial", "vectorized"]
 
-    def test_compiled_resolves_with_and_without_numba(self):
-        had = sys.modules.pop("numba", None)
-        try:
-            compiled_mod._reset_numba_kernels()
-            assert isinstance(get_backend("compiled"), CompiledBackend)
-            fake = types.ModuleType("numba")
-            fake.njit = lambda f=None, **kw: f if f is not None else (lambda g: g)
-            sys.modules["numba"] = fake
-            compiled_mod._reset_numba_kernels()
-            assert isinstance(get_backend("compiled"), CompiledBackend)
-        finally:
-            if had is not None:
-                sys.modules["numba"] = had
-            else:
-                sys.modules.pop("numba", None)
-            compiled_mod._reset_numba_kernels()
+    @pytest.mark.parametrize("name", ["compiled", "parallel"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            get_backend(name)

@@ -1,11 +1,12 @@
 """Parity and error-path tests for the fused cross-function execution path.
 
-The fused grouped executor (``repro.simulation.engine.grouped``) must be
+The fused grouped executor (``VectorizedBackend.run_grouped``) must be
 bit-identical to the looped per-group schedule: every (function, size) or
 (function, window) group owns its own spawned random streams, both paths draw
 each group's noise in the same order, and both reduce through the same
 segmented-summation primitive.  These tests enforce that for fleet windows
-(all traffic models), for ``measure_table`` across backends and sinks, and
+(all traffic models, against a per-function ``invoke_batch`` loop), for
+``measure_table`` against the ``measure_many`` object path and across sinks, and
 for stressed instance-pool dynamics (overlaps, keep-alive expiry); plus the
 malformed-offset / malformed-request error paths and the seeding helper's
 determinism.
@@ -19,6 +20,7 @@ import pytest
 from repro.errors import ConfigurationError, MonitoringError, SimulationError
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
+from repro.dataset.table import measurement_stat_block
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.monitoring.aggregation import (
     STAT_NAMES,
@@ -28,7 +30,7 @@ from repro.monitoring.aggregation import (
 )
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import GroupedBatch, GroupRequest, get_backend, run_grouped
+from repro.simulation.engine import GroupedBatch, GroupRequest, get_backend
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_ARRIVALS,
@@ -272,8 +274,9 @@ class TestGroupedBatchErrors:
 
     def test_run_grouped_rejects_empty_and_malformed(self, cpu_function):
         platform = ServerlessPlatform.noise_free(seed=0)
+        backend = get_backend("vectorized")
         with pytest.raises(SimulationError):
-            run_grouped(platform, [])
+            backend.run_grouped(platform, [])
         with pytest.raises(SimulationError):
             GroupRequest.for_deployed(
                 platform, "missing", np.array([1.0]), np.random.default_rng(0)
@@ -284,7 +287,7 @@ class TestGroupedBatchErrors:
                 platform, cpu_function.name, np.array(bad), np.random.default_rng(0)
             )
             with pytest.raises(SimulationError):
-                run_grouped(platform, [request])
+                backend.run_grouped(platform, [request])
 
 
 class TestFusedVersusLooped:
@@ -457,24 +460,23 @@ class TestFleetWindowParity:
     }
 
     @pytest.mark.parametrize("model_name", sorted(TRAFFIC_FACTORIES))
-    def test_fused_equals_looped(self, model_name):
+    def test_fused_equals_looped(self, model_name, looped_window):
         factory = self.TRAFFIC_FACTORIES[model_name]
         functions = _functions(12, seed=31, prefix=f"fleet-{model_name}")
         traffic = [factory(i) for i in range(len(functions))]
 
-        def run(fused):
+        def run(step):
             simulator = FleetSimulator(
-                functions,
-                traffic,
-                FleetConfig(window_s=3600.0, seed=17, fused=fused),
+                functions, traffic, FleetConfig(window_s=3600.0, seed=17)
             )
-            windows = [simulator.run_window() for _ in range(2)]
+            windows = [step(simulator) for _ in range(2)]
             simulator.resize(0, 1024)  # warm pools drop for fn 0 only
-            windows.append(simulator.run_window())
+            windows.append(step(simulator))
             return windows
 
-        for fused_window, looped_window in zip(run(True), run(False)):
-            assert_windows_equal(fused_window, looped_window)
+        fused = run(FleetSimulator.run_window)
+        for fused_window, looped in zip(fused, run(looped_window)):
+            assert_windows_equal(fused_window, looped)
 
     def test_fused_window_respects_arrival_cap(self, cpu_function):
         simulator = FleetSimulator(
@@ -501,42 +503,48 @@ class TestFleetWindowParity:
 
 
 class TestMeasureTableParity:
-    """measure_table: fused == looped == parallel == sharded, bit-identical."""
+    """measure_table: fused == looped object path == sharded, bit-identical."""
 
     SIZES = (128, 512, 2048)
 
-    def _table(self, functions, backend, fused, n_workers=None, **kwargs):
-        harness = MeasurementHarness(
+    def _harness(self, backend):
+        return MeasurementHarness(
             config=HarnessConfig(
                 memory_sizes_mb=self.SIZES,
                 max_invocations_per_size=25,
                 seed=13,
                 backend=backend,
-                fused=fused,
-                n_workers=n_workers,
             )
         )
-        return harness.measure_table(functions, **kwargs)
+
+    def _table(self, functions, backend, **kwargs):
+        return self._harness(backend).measure_table(functions, **kwargs)
+
+    @staticmethod
+    def _looped_blocks(harness, functions, sizes):
+        """The looped reference: ``measure_many`` objects -> stat blocks."""
+        blocks = [
+            measurement_stat_block(measurement, sizes)
+            for measurement in harness.measure_many(functions)
+        ]
+        return (
+            np.stack([stats for stats, _ in blocks]),
+            np.stack([counts for _, counts in blocks]),
+        )
 
     def test_fused_equals_looped_vectorized(self):
         functions = _functions(7, seed=41)
-        fused = self._table(functions, "vectorized", True)
-        looped = self._table(functions, "vectorized", False)
-        np.testing.assert_array_equal(fused.values, looped.values)
-        np.testing.assert_array_equal(fused.n_invocations, looped.n_invocations)
-        assert fused.function_names == looped.function_names
-
-    def test_parallel_chunks_equal_vectorized_fused(self):
-        functions = _functions(5, seed=42)
-        fused = self._table(functions, "vectorized", True)
-        parallel = self._table(functions, "parallel", True, n_workers=2)
-        np.testing.assert_array_equal(fused.values, parallel.values)
-        np.testing.assert_array_equal(fused.n_invocations, parallel.n_invocations)
+        fused = self._table(functions, "vectorized")
+        stats, counts = self._looped_blocks(
+            self._harness("vectorized"), functions, self.SIZES
+        )
+        np.testing.assert_array_equal(fused.values, stats)
+        np.testing.assert_array_equal(fused.n_invocations, counts)
 
     def test_serial_looped_matches_fused_statistically(self):
         functions = _functions(3, seed=43)
-        serial = self._table(functions, "serial", True)  # fused ignored
-        fused = self._table(functions, "vectorized", True)
+        serial = self._table(functions, "serial")
+        fused = self._table(functions, "vectorized")
         exec_serial = serial.execution_time_ms()
         exec_fused = fused.execution_time_ms()
         np.testing.assert_allclose(exec_fused, exec_serial, rtol=0.15)
@@ -554,7 +562,7 @@ class TestMeasureTableParity:
         from repro.dataset.table import MeasurementTable
 
         measured = harness.measure_many(functions)
-        table = self._table(functions, "vectorized", True)
+        table = self._table(functions, "vectorized")
         from_objects = MeasurementTable.from_measurements(
             measured, memory_sizes_mb=self.SIZES
         )
@@ -579,17 +587,19 @@ class TestMeasureTableParity:
         assert in_memory.function_names == sharded.function_names
 
     def test_looped_generation_equals_fused(self):
-        base = dict(
+        config = DatasetGenerationConfig(
             n_functions=6, memory_sizes_mb=self.SIZES,
             invocations_per_size=15, seed=78, backend="vectorized",
         )
-        fused = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**base, fused=True)
-        ).generate_table()
-        looped = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**base, fused=False)
-        ).generate_table()
-        np.testing.assert_array_equal(fused.values, looped.values)
+        fused = TrainingDatasetGenerator(config).generate_table()
+        looped = TrainingDatasetGenerator(config)
+        stats, counts = self._looped_blocks(
+            looped.harness,
+            looped.function_generator.generate(config.n_functions),
+            self.SIZES,
+        )
+        np.testing.assert_array_equal(fused.values, stats)
+        np.testing.assert_array_equal(fused.n_invocations, counts)
 
     def test_standalone_measurements_use_independent_streams(self, cpu_function):
         """Repeated measure_function calls on one harness auto-advance the

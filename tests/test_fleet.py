@@ -212,6 +212,19 @@ class TestFleetSimulator:
         with pytest.raises(SimulationError):
             simulator.resize(0, 384)
 
+    def test_resize_rejects_out_of_range_index(self, cpu_function, service_function):
+        functions = [cpu_function, service_function]
+        simulator = FleetSimulator(
+            functions, [ConstantTraffic(0.05)] * 2, FleetConfig(seed=4)
+        )
+        with pytest.raises(SimulationError, match="out of range"):
+            simulator.resize(-1, 1024)  # must not resize the last function
+        with pytest.raises(SimulationError, match="out of range"):
+            simulator.resize(len(functions), 512)
+        assert simulator.current_memory_mb().tolist() == [256, 256]
+        for function in functions:
+            assert simulator.platform.get_function(function.name).memory_mb == 256.0
+
     def test_arrival_cap_bounds_batch(self, cpu_function):
         simulator = FleetSimulator(
             [cpu_function],

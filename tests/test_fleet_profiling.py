@@ -82,21 +82,29 @@ class TestWindowPhaseProfiler:
 
 
 class TestSimulatorWiring:
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_run_window_books_the_simulator_phases(self, fused):
+    @pytest.mark.parametrize("cohort", [True, False])
+    def test_run_window_books_the_simulator_phases(self, cohort):
         functions, traffic = _fleet()
+        if cohort:
+            # One shared profile: the statistical cohort path executes one
+            # representative and books the member broadcast under "reduce".
+            functions = [
+                functions[0].with_name(f"prof-cohort-{i}") for i in range(len(functions))
+            ]
         simulator = FleetSimulator(
             functions,
             traffic,
-            config=FleetConfig(window_s=WINDOW_S, seed=5, fused=fused),
+            config=FleetConfig(
+                window_s=WINDOW_S,
+                seed=5,
+                cohort_mode="statistical" if cohort else "off",
+            ),
         )
         for _ in range(3):
             simulator.run_window()
         profiler = simulator.profiler
         assert profiler.windows == 3
         for phase in ("traffic", "seeding", "group-build", "execute", "reduce"):
-            if phase == "group-build" and not fused:
-                continue  # the looped reference path builds no group requests
             assert profiler.seconds[phase] > 0.0, phase
         # The service stages have not run.
         assert profiler.seconds["decide"] == 0.0

@@ -1,17 +1,15 @@
-"""Sparse scheduling, cohort deduplication and shard-parallel fleet windows.
+"""Sparse scheduling and cohort deduplication of fleet windows.
 
 Exactness contracts of the fleet-scale window levers:
 
 - sparse windows of the fast backend scatter to the ``serial`` oracle's
   dense view (noise-free: sizes, counts and costs bit-identical, stats to
-  summation order), for both traffic modes and across mid-run resizes, and
-  the controller and ledger state they produce matches a dense O(fleet)
-  reference applied to ``to_dense()``;
+  summation order) across mid-run resizes, and the controller and ledger
+  state they produce matches a dense O(fleet) reference applied to
+  ``to_dense()``;
 - zero-arrival functions never reach the execution engine (no group request
   is built for them), and the controller merges only the active rows;
-- fused and looped execution agree under the same traffic mode;
-- controller decisions and ledger accounts are independent of the window
-  shard count;
+- fused execution agrees with a per-function looped reference;
 - cohort deduplication keeps representatives bit-exact and fleet totals
   statistically close.
 """
@@ -28,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.fleet import (
     ControllerConfig,
     FleetConfig,
-    FleetRightsizingService,
     FleetSimulator,
     FleetWindow,
     ResizeEvent,
@@ -40,7 +37,6 @@ from repro.fleet import (
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import get_backend
 from repro.simulation.platform import ServerlessPlatform
 from repro.simulation.seeding import STREAM_EXECUTION, STREAM_TRAFFIC
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -109,13 +105,20 @@ def _noise_free_platform(seed: int) -> ServerlessPlatform:
     return platform
 
 
-def _run_windows(functions, traffic, config, n_windows=4, resizes=(), platform=None):
-    """Run windows, applying ``{window_index: [(function, size)]}`` resizes."""
+def _run_windows(
+    functions, traffic, config, n_windows=4, resizes=(), platform=None,
+    step=FleetSimulator.run_window,
+):
+    """Run windows, applying ``{window_index: [(function, size)]}`` resizes.
+
+    ``step`` advances the simulator one window (the fused ``run_window`` by
+    default, or the per-function looped reference).
+    """
     simulator = FleetSimulator(functions, traffic, config=config, platform=platform)
     resizes = dict(resizes)
     windows = []
     for index in range(n_windows):
-        windows.append(simulator.run_window())
+        windows.append(step(simulator))
         for function_index, size in resizes.get(index, ()):
             simulator.resize(function_index, size)
     return simulator, windows
@@ -194,45 +197,54 @@ class _DenseReference:
 class TestSparseDenseParity:
     RESIZES = {1: [(0, 512), (3, 1024)], 2: [(0, 256)]}
 
-    def _fast_and_oracle(self, config):
+    def _fast_and_oracle(self, config, step=FleetSimulator.run_window):
         """Noise-free windows of the fast path and of the ``serial`` oracle.
 
         The scalar oracle draws its noise per invocation in a different
         order than the batch kernels, so the two are compared noise-free.
+        ``step`` drives the fast side (the oracle always runs ``run_window``).
         """
         functions, traffic = _mixed_fleet(18)
         runs = []
-        for backend in (config.backend, "serial"):
+        for backend, advance in ((config.backend, step), ("serial", FleetSimulator.run_window)):
             _, windows = _run_windows(
                 functions,
                 traffic,
                 replace(config, backend=backend),
                 resizes=self.RESIZES,
                 platform=_noise_free_platform(config.seed),
+                step=advance,
             )
             runs.append(windows)
         return runs
 
-    @pytest.mark.parametrize("traffic_mode", ["fused", "per-function"])
-    def test_sparse_windows_bit_identical_to_dense(self, traffic_mode):
+    @pytest.mark.parametrize("path", ["fused", "looped"])
+    def test_sparse_windows_bit_identical_to_dense(self, path, looped_window):
         """Fast-path windows scatter to the serial oracle's dense view.
 
-        Sizes, counts and costs are bit-identical; the stats agree to
-        floating-point summation order (scalar vs segmented reductions).
+        Both the fused window and the per-function looped reference are
+        checked.  Sizes, counts and costs are bit-identical; the stats agree
+        to floating-point summation order (scalar vs segmented reductions).
         """
-        config = FleetConfig(window_s=WINDOW_S, seed=9, traffic_mode=traffic_mode)
-        fast, oracle = self._fast_and_oracle(config)
+        config = FleetConfig(window_s=WINDOW_S, seed=9)
+        step = FleetSimulator.run_window if path == "fused" else looped_window
+        fast, oracle = self._fast_and_oracle(config, step=step)
         for fast_window, oracle_window in zip(fast, oracle):
             assert isinstance(fast_window, SparseFleetWindow)
             assert np.array_equal(fast_window.active, oracle_window.active)
             dense, oracle_dense = fast_window.to_dense(), oracle_window.to_dense()
             assert isinstance(dense, FleetWindow)
-            for column in (
-                "memory_mb", "n_invocations", "n_arrivals", "n_cold_starts", "cost_usd",
-            ):
+            for column in ("memory_mb", "n_invocations", "n_arrivals", "n_cold_starts"):
                 assert np.array_equal(
                     getattr(dense, column), getattr(oracle_dense, column)
                 ), column
+            if path == "fused":
+                assert np.array_equal(dense.cost_usd, oracle_dense.cost_usd)
+            else:
+                # One np.sum per function vs segmented reduceat sums.
+                np.testing.assert_allclose(
+                    dense.cost_usd, oracle_dense.cost_usd, rtol=1e-12, atol=0
+                )
             np.testing.assert_allclose(dense.stats, oracle_dense.stats, rtol=1e-12, atol=0)
             # to_dense() places every active row and zero-fills the idle ones.
             idle = np.setdiff1d(np.arange(fast_window.n_functions), fast_window.active)
@@ -411,9 +423,7 @@ class TestKeyedSeedingCost:
         simulator = FleetSimulator(
             functions,
             traffic,
-            config=FleetConfig(
-                window_s=WINDOW_S, seed=10, traffic_mode="per-function"
-            ),
+            config=FleetConfig(window_s=WINDOW_S, seed=10),
         )
         calls = self._spy_keyed(monkeypatch)
         window = simulator.run_window()
@@ -470,13 +480,15 @@ class TestControllerObserveCost:
 
 
 class TestExecutionPathParity:
-    def test_fused_equals_looped_under_fused_traffic(self):
+    def test_fused_equals_looped_under_fused_traffic(self, looped_window):
         functions, traffic = _mixed_fleet(18)
         _, fused = _run_windows(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9))
-        _, looped = _run_windows(
-            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9, fused=False)
+        simulator = FleetSimulator(
+            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9)
         )
+        looped = [looped_window(simulator) for _ in range(len(fused))]
         for fw, lw in zip(fused, looped):
+            assert np.array_equal(fw.active, lw.active)
             assert np.array_equal(fw.stats, lw.stats)
             assert np.array_equal(fw.n_invocations, lw.n_invocations)
             assert np.array_equal(fw.n_arrivals, lw.n_arrivals)
@@ -484,84 +496,6 @@ class TestExecutionPathParity:
             # Per-group cost sums in segment order, the per-function batch in
             # pairwise order — equal up to summation order, as in the seed.
             np.testing.assert_allclose(fw.cost_usd, lw.cost_usd, rtol=1e-12)
-
-    def test_sharded_execution_bit_identical(self):
-        functions, traffic = _mixed_fleet(18)
-        _, reference = _run_windows(
-            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9)
-        )
-        for shard_size in (1, 3, 7, 100):
-            _, sharded = _run_windows(
-                functions,
-                traffic,
-                FleetConfig(window_s=WINDOW_S, seed=9, window_shard_size=shard_size),
-            )
-            for rw, sw in zip(reference, sharded):
-                _assert_windows_equal(rw, sw)
-
-    def test_parallel_run_stat_shards_matches_sequential(self):
-        import warnings
-
-        functions, traffic = _mixed_fleet(12)
-        results = {}
-        for backend_name, n_workers in (("vectorized", None), ("parallel", 2)):
-            config = FleetConfig(
-                window_s=WINDOW_S,
-                seed=9,
-                backend=backend_name,
-                n_workers=n_workers,
-                window_shard_size=3,
-            )
-            with warnings.catch_warnings():
-                # A broken worker pool degrades to in-process execution with
-                # a RuntimeWarning; parity must hold either way.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                _, windows = _run_windows(functions, traffic, config, n_windows=2)
-            results[backend_name] = windows
-        for vw, pw in zip(results["vectorized"], results["parallel"]):
-            _assert_windows_equal(vw, pw)
-
-
-class TestShardCountIndependentControl:
-    def _run_service(self, shard_size):
-        functions, traffic = _mixed_fleet(16, seed=43)
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=7200.0, seed=11, window_shard_size=shard_size),
-        )
-        service = FleetRightsizingService(
-            simulator,
-            SizelessPredictor(self.trained_model),
-            controller_config=ControllerConfig(min_windows=2, min_invocations=30),
-        )
-        return service.run(6)
-
-    def test_decisions_independent_of_shard_count(self, trained_model):
-        self.trained_model = trained_model
-        reference = self._run_service(None)
-        for shard_size in (1, 3):
-            report = self._run_service(shard_size)
-            assert report.events == reference.events
-            assert np.array_equal(report.final_memory_mb, reference.final_memory_mb)
-            for ra, sa in zip(reference.ledger.windows, report.ledger.windows):
-                assert sa.invocations == ra.invocations
-                assert sa.resizes == ra.resizes
-                assert sa.rollbacks == ra.rollbacks
-                assert sa.functions_resized == ra.functions_resized
-                assert sa.actual_cost_usd == pytest.approx(
-                    ra.actual_cost_usd, rel=1e-12
-                )
-                assert sa.baseline_cost_usd == pytest.approx(
-                    ra.baseline_cost_usd, rel=1e-12
-                )
-                assert sa.actual_time_weighted_ms == pytest.approx(
-                    ra.actual_time_weighted_ms, rel=1e-12
-                )
-                assert sa.baseline_time_weighted_ms == pytest.approx(
-                    ra.baseline_time_weighted_ms, rel=1e-12
-                )
-
 
 class TestCohortDeduplication:
     def _replicated_fleet(self, n_functions: int, n_bases: int = 3):
@@ -663,13 +597,9 @@ class TestCohortDeduplication:
 class TestConfigValidation:
     def test_new_knobs_validated(self):
         with pytest.raises(ConfigurationError):
-            FleetConfig(traffic_mode="magic")
-        with pytest.raises(ConfigurationError):
             FleetConfig(cohort_mode="always")
         with pytest.raises(ConfigurationError):
             FleetConfig(cohort_rate_buckets_per_decade=0)
-        with pytest.raises(ConfigurationError):
-            FleetConfig(window_shard_size=0)
         with pytest.raises(ConfigurationError):
             FleetConfig(rate_resolution=0)
 
@@ -677,10 +607,18 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             FleetConfig(sparse=True)
 
-    def test_run_stat_shards_validates_shard_size(self, cpu_function):
-        simulator = FleetSimulator(
-            [cpu_function], [ConstantTraffic(0.05)], FleetConfig(seed=4)
-        )
-        backend = get_backend("vectorized")
-        with pytest.raises(ConfigurationError):
-            backend.run_stat_shards(simulator.platform, [], 0)
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"n_workers": 2},
+            {"fused": False},
+            {"traffic_mode": "per-function"},
+            {"window_shard_size": 8},
+            {"dtype": "float32"},
+            {"noise": "pooled"},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_removed_execution_knobs_raise(self, knob):
+        with pytest.raises(TypeError):
+            FleetConfig(**knob)

@@ -284,36 +284,6 @@ class TestFleetTrafficSchedule:
         expected = fleet_mean_rates(models, 0.0, 3_600.0) * 3_600.0
         np.testing.assert_allclose(totals / n_rounds, expected, rtol=0.05)
 
-    def test_sample_window_keyed_matches_per_model_arrivals(self):
-        models = _one_of_each_model()
-        schedule = FleetTrafficSchedule(models)
-        start_s, end_s = self.WINDOW
-        rngs = [np.random.default_rng(1000 + i) for i in range(len(models))]
-        arrivals = schedule.sample_window_keyed(start_s, end_s, rngs)
-        for i, model in enumerate(models):
-            expected = model.arrivals(
-                start_s, end_s, np.random.default_rng(1000 + i)
-            )
-            np.testing.assert_array_equal(arrivals.arrivals_of(i), expected)
-
-    def test_sample_window_keyed_cap_matches_reference_subsampling(self):
-        models = [
-            ConstantTraffic(rate_rps=1.0),
-            TraceTraffic(timestamps_s=tuple(float(t) for t in range(50))),
-        ]
-        schedule = FleetTrafficSchedule(models)
-        rngs = [np.random.default_rng(3), np.random.default_rng(4)]
-        arrivals = schedule.sample_window_keyed(0.0, 600.0, rngs, max_per_function=25)
-        assert np.array_equal(arrivals.counts(), [25, 25])
-        full = models[0].arrivals(0.0, 600.0, np.random.default_rng(3))
-        keep = np.linspace(0, full.shape[0] - 1, 25).astype(int)
-        np.testing.assert_array_equal(arrivals.arrivals_of(0), full[keep])
-
-    def test_sample_window_keyed_validates_stream_count(self):
-        schedule = FleetTrafficSchedule([ConstantTraffic(rate_rps=1.0)])
-        with pytest.raises(ConfigurationError):
-            schedule.sample_window_keyed(0.0, 10.0, [])
-
     def test_from_arrays_round_trips(self):
         per_function = [
             np.array([1.0, 2.0, 3.0]),

@@ -5,15 +5,13 @@ Produces ``BENCH_fleet.json`` and ``BENCH_generation.json`` (schema
 documented in ``docs/PERFORMANCE.md``) so successive PRs can track the
 throughput and peak-memory trajectory of the two hot paths:
 
-- **fleet** — fused cross-function window execution vs the per-function-batch
-  path (windows/s, invocations/s, tracemalloc peak bytes), plus the
-  fleet-scale ``sparse`` section (sparse / cohort / sharded window variants
-  vs the dense O(fleet) reference on a mostly-idle fleet), the ``compiled``
-  execution-backend section (compiled / pooled / float32 variants vs
-  vectorized on the sparse active groups, with numba JIT compile time
-  reported separately) and the ``fleet_scale`` endurance run (one million
-  functions through 24 virtual hours at ``--scale full``);
-- **generation** — training-dataset generation per execution-backend variant
+- **fleet** — fused cross-function window execution vs the test-local
+  per-function-batch loop (windows/s, invocations/s, tracemalloc peak
+  bytes), plus the fleet-scale ``sparse`` section (sparse / cohort window
+  variants vs the dense O(fleet) reference on a mostly-idle fleet) and the
+  ``fleet_scale`` endurance run (one million functions through 24 virtual
+  hours at ``--scale full``);
+- **generation** — training-dataset generation per execution backend
   (invocations/s, tracemalloc peak bytes).
 
 The scenarios are not re-defined here: this tool loads the benchmark
@@ -129,24 +127,21 @@ def bench_fleet() -> dict:
             results["looped"]["seconds"] / results["fused"]["seconds"], 2
         ),
         "sparse": bench_fleet_sparse(bench),
-        "compiled": bench_fleet_compiled(bench),
     }
 
 
 def bench_fleet_sparse(bench) -> dict:
-    """Sparse / cohort / sharded fleet window variants vs the dense reference.
+    """Sparse / cohort fleet window variants vs the dense reference.
 
     The mostly-idle fleet-scale scenario (``_sparse_scenario``, ~1 % active
     per window).  ``dense`` is the pre-sparse O(fleet) window body; the
-    three lever variants all run through ``FleetSimulator.run_window``.
-    Sparse and sharded must agree bit for bit (asserted); cohort is the
-    explicitly statistical mode.
+    two lever variants run through ``FleetSimulator.run_window``.  Cohort is
+    the explicitly statistical mode.
     """
     functions, traffic = bench._sparse_scenario()
     variants = {
         "sparse": {},
         "cohort": {"cohort_mode": "statistical"},
-        "sharded": {"window_shard_size": 256},
     }
     results = {}
     (seconds, invocations, _), wall_seconds, peak = _traced(
@@ -159,18 +154,12 @@ def bench_fleet_sparse(bench) -> dict:
         "invocations": invocations,
         "peak_bytes": int(peak),
     }
-    reference = None
     for label, knobs in variants.items():
         (seconds, invocations, windows), wall_seconds, peak = _traced(
             lambda knobs=knobs: bench.execute_sparse_windows(
                 functions, traffic, **knobs
             )
         )
-        stacked = np.concatenate([w.stats.ravel() for w in windows])
-        if label == "sparse":
-            reference = stacked
-        elif label == "sharded" and not np.array_equal(reference, stacked):
-            raise AssertionError("sharded window stats diverged from sparse")
         results[label] = {
             "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
             "seconds": round(seconds, 4),
@@ -189,82 +178,6 @@ def bench_fleet_sparse(bench) -> dict:
         "results": results,
         "speedup": round(
             results["dense"]["seconds"] / results["sparse"]["seconds"], 2
-        ),
-    }
-
-
-def bench_fleet_compiled(bench) -> dict:
-    """Execution-backend variants on the sparse scenario's active groups.
-
-    The timed region is the contested kernel work (``run_grouped`` + stat
-    reduction over pre-built requests), exactly the region
-    ``test_bench_compiled_backend_speedup`` asserts, and timings are the
-    best of repeated fresh runs (the benchmark's noise discipline); peak
-    bytes come from one separately traced run.  The compiled default must
-    agree bit for bit with vectorized (asserted); pooled noise and float32
-    are the explicitly statistical variants.  Numba availability and its
-    one-off JIT compile time are recorded separately so interpreter-only
-    environments stay comparable.
-    """
-    from repro.simulation.engine import get_backend
-
-    functions, traffic = bench._sparse_scenario()
-    window_arrivals = bench._sparse_active_arrivals(functions, traffic)
-    variants = {
-        "vectorized": {},
-        "compiled": {"backend": "compiled"},
-        "compiled-pooled": {"backend": "compiled", "noise": "pooled"},
-        "compiled-float32": {"backend": "compiled", "dtype": "float32"},
-    }
-    results = {}
-    reference = None
-    for label, knobs in variants.items():
-        def run(knobs=knobs):
-            return bench.execute_backend_windows(
-                functions, traffic, window_arrivals, **knobs
-            )
-
-        (_, invocations, stats), wall_seconds, peak = _traced(run)
-        seconds, _, _ = bench._best_of(3, run)
-        if label == "vectorized":
-            reference = stats
-        elif label == "compiled" and not all(
-            np.array_equal(ref_window, window)
-            for ref_window, window in zip(reference, stats)
-        ):
-            raise AssertionError("compiled default stats diverged from vectorized")
-        results[label] = {
-            "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
-            "seconds": round(seconds, 4),
-            "wall_seconds": round(wall_seconds, 4),
-            "invocations": invocations,
-            "peak_bytes": int(peak),
-        }
-    from repro.simulation.engine.compiled import numba_unavailable_reason
-
-    warm_backend = get_backend("compiled")
-    numba = {
-        "available": warm_backend.uses_numba,
-        "compile_seconds": round(warm_backend.warmup(), 3),
-    }
-    if not numba["available"]:
-        numba["reason"] = numba_unavailable_reason()
-    return {
-        "config": {
-            "n_functions": bench.SPARSE_FUNCTIONS,
-            "n_windows": bench.SPARSE_WINDOWS,
-            "window_s": bench.WINDOW_S,
-            "mean_rate_range_rps": list(bench.SPARSE_RATE_RANGE),
-        },
-        "results": results,
-        "numba": numba,
-        "speedup": round(
-            results["vectorized"]["seconds"] / results["compiled"]["seconds"], 2
-        ),
-        "pooled_speedup": round(
-            results["vectorized"]["seconds"]
-            / results["compiled-pooled"]["seconds"],
-            2,
         ),
     }
 
@@ -354,7 +267,7 @@ def bench_fleet_scale(scale: str) -> dict:
 
 
 def bench_generation() -> dict:
-    """Dataset-generation throughput per execution-backend variant."""
+    """Dataset-generation throughput per execution backend."""
     from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 
     bench = _load_benchmark("test_bench_generation")
@@ -422,8 +335,6 @@ def main(argv=None) -> int:
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
             f"({report['speedup']}x); sparse {report['sparse']['speedup']}x over "
             f"dense at {report['sparse']['config']['n_functions']:,} functions; "
-            f"compiled {report['compiled']['speedup']}x / pooled "
-            f"{report['compiled']['pooled_speedup']}x over vectorized; "
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
