@@ -6,9 +6,10 @@ backend and records the achieved invocations/second: ``serial`` (scalar
 reference) and ``vectorized`` (fused cross-function mega-batches, the
 default path).  The final tests assert the engine's acceptance criteria: the
 default (fused vectorized) path generates the dataset at least 10x faster
-than serial, and measurably faster than the looped ``measure_many`` object
-path (one engine batch per (function, size) pair) on identical functions,
-with bit-identical numbers.
+than serial, and measurably faster than the looped reference (one deploy and
+one ``invoke_batch`` engine batch per (function, size) pair, the test-local
+``measure_looped_blocks`` of ``tests/conftest.py``) on identical functions,
+with bit-identical numbers.  Both ratios time each side best-of-3.
 
 Unlike the other benchmarks this one deliberately ignores ``REPRO_BENCH_SCALE``
 — the comparison is defined on the default generation configuration
@@ -21,17 +22,20 @@ acceptance criterion, 10x) and ``REPRO_BENCH_GEN_FUSED_SPEEDUP`` (default
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
-from repro.dataset.table import MeasurementTable
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_GEN_FUNCTIONS", "200"))
 
-_DURATIONS: dict[str, float] = {}
+#: Recorded generation wall times per variant (the speedup gate takes the
+#: best of them).
+_DURATIONS: dict[str, list[float]] = {}
 _INVOCATIONS = N_FUNCTIONS * 6 * 120  # functions x sizes x invocations_per_size
 
 _VARIANTS = {
@@ -47,14 +51,15 @@ def _generate(variant: str):
     )
     start = time.perf_counter()
     dataset = generator.generate()
-    _DURATIONS[variant] = time.perf_counter() - start
+    _DURATIONS.setdefault(variant, []).append(time.perf_counter() - start)
     return dataset
 
 
-def _throughput(variant: str) -> float:
-    if variant not in _DURATIONS:
+def _throughput(variant: str, n_runs: int = 1) -> float:
+    """Best throughput over at least ``n_runs`` generations (earlier runs count)."""
+    while len(_DURATIONS.get(variant, ())) < n_runs:
         _generate(variant)
-    return _INVOCATIONS / _DURATIONS[variant]
+    return _INVOCATIONS / min(_DURATIONS[variant])
 
 
 def _bench(benchmark, variant: str):
@@ -75,14 +80,18 @@ def test_bench_generation_vectorized(benchmark):
 
 
 def test_vectorized_speedup_over_serial():
-    """Acceptance criterion: >= 10x over serial on the default dataset."""
+    """Acceptance criterion: >= 10x over serial on the default dataset.
+
+    Each side is timed best-of-3 (the benchmark runs above count as one
+    sample each), so one noisy run on a shared machine cannot sink the ratio.
+    """
     minimum = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "10.0"))
-    serial = _throughput("serial")
-    vectorized = _throughput("vectorized")
+    serial = _throughput("serial", n_runs=3)
+    vectorized = _throughput("vectorized", n_runs=3)
     speedup = vectorized / serial
     print(
         f"\ngeneration throughput: serial {serial:,.0f} inv/s, "
-        f"fused vectorized {vectorized:,.0f} inv/s ({speedup:.1f}x)"
+        f"fused vectorized {vectorized:,.0f} inv/s ({speedup:.1f}x, best of 3)"
     )
     assert speedup >= minimum
 
@@ -99,12 +108,28 @@ def _best_of(n_runs, run):
     return best
 
 
+def _measure_looped_blocks():
+    """Load the per-(function, size) reference from ``tests/conftest.py``.
+
+    Imported by file path: neither ``tests/`` nor ``benchmarks/`` is a
+    package, and the benchmarks also run without the tests collected.
+    """
+    path = Path(__file__).resolve().parents[1] / "tests" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("repro_tests_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.measure_looped_blocks
+
+
 def test_fused_speedup_over_looped():
-    """The fused mega-batch path beats the looped ``measure_many`` object path.
+    """The fused mega-batch path beats the looped per-(function, size) path.
 
     Both sides measure the same pre-generated functions through one
     harness (every experiment draws from index-derived streams, so reruns
-    reproduce the same numbers) and are timed best-of-3.
+    reproduce the same numbers) and are timed best-of-3.  The looped side
+    is the test-local reference loop — one deploy and one ``invoke_batch``
+    engine batch per (function, size) pair — which shares no code with the
+    harness's grouped path.
     """
     minimum = float(os.environ.get("REPRO_BENCH_GEN_FUSED_SPEEDUP", "1.2"))
     generator = TrainingDatasetGenerator(
@@ -112,13 +137,13 @@ def test_fused_speedup_over_looped():
     )
     functions = generator.function_generator.generate(N_FUNCTIONS)
     harness = generator.harness
+    measure_looped_blocks = _measure_looped_blocks()
     fused_seconds, table = _best_of(3, lambda: harness.measure_table(functions))
-    looped_seconds, measured = _best_of(3, lambda: harness.measure_many(functions))
-    looped = MeasurementTable.from_measurements(
-        measured, memory_sizes_mb=table.memory_sizes_mb
+    looped_seconds, (stats, counts) = _best_of(
+        3, lambda: measure_looped_blocks(harness, functions)
     )
-    np.testing.assert_array_equal(table.values, looped.values)
-    np.testing.assert_array_equal(table.n_invocations, looped.n_invocations)
+    np.testing.assert_array_equal(table.values, stats)
+    np.testing.assert_array_equal(table.n_invocations, counts)
 
     speedup = looped_seconds / fused_seconds
     print(

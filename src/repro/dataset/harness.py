@@ -9,22 +9,26 @@ invocations per size so that the full 2 000-function dataset can be generated
 in seconds; the cap preserves the arrival-process shape (see
 :meth:`repro.workloads.loadgen.LoadGenerator.arrival_times`).
 
-Invocation batches run through a pluggable execution backend
-(:mod:`repro.simulation.engine`): the default ``"serial"`` backend reproduces
-the original scalar path invocation for invocation, and ``"vectorized"``
-computes whole arrival batches in numpy.  Measurement windows are aggregated
-straight from the batch columns — no per-invocation metric dictionaries are
-materialized — and each function's records are discarded from the platform
-log once aggregated, so memory stays bounded during paper-scale runs.
+Every measurement takes one path through the engine: the (function, size)
+experiments of a function chunk become the groups of one
+:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped` call, and the
+grouped result is reduced straight to per-group stat rows with segmented
+reductions — no per-invocation metric dictionaries are materialized.
+:meth:`MeasurementHarness.measure_function` is the one-function chunk,
+:meth:`MeasurementHarness.measure_many` loops over it, and
+:meth:`MeasurementHarness.measure_table` runs the chunks of a whole list.
+The backend (:mod:`repro.simulation.engine`) decides how a chunk executes:
+the default ``"serial"`` backend runs one scalar batch per group (the
+original invocation-by-invocation path), ``"vectorized"`` flattens all
+groups into one columnar mega-batch.  Grouped runs leave no per-invocation
+records in the platform log, so memory stays bounded during paper-scale runs.
 
 Every (function, size) experiment owns two private random streams — one for
 its arrival trace, one for its execution noise — spawned from the base seeds
-and the function's absolute index (:mod:`repro.simulation.seeding`).  All
-schedules therefore produce bit-identical numbers: the sequential
-per-function loop, the chunked sharded run, and the **fused** table path of
-the vectorized backend, which flattens all (function, size) pairs of a chunk
-into one columnar mega-batch (:mod:`repro.simulation.engine.grouped`)
-instead of issuing ``functions x sizes`` separate engine batches.
+and the function's absolute index (:mod:`repro.simulation.seeding`).  Chunk
+boundaries, sharded sinks and backends' group schedules therefore never
+change the numbers: a function measured alone, in a list or in a sharded
+table run produces bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitoring.aggregation import STAT_NAMES, MonitoringSummary
+from repro.monitoring.aggregation import STAT_NAMES, summary_from_stats
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.dataset.schema import FunctionMeasurement
 from repro.dataset.table import MeasurementTableBuilder
 from repro.simulation.engine import (
     ExecutionBackend,
     GroupRequest,
-    SerialBackend,
     available_backends,
     get_backend,
 )
@@ -50,8 +53,8 @@ from repro.simulation.seeding import STREAM_ARRIVALS, STREAM_EXECUTION, child_rn
 from repro.workloads.function import FunctionSpec
 from repro.workloads.loadgen import LoadGenerator, Workload
 
-#: Functions per fused mega-batch when no sharded sink dictates a shard size;
-#: bounds peak memory at one chunk's metric columns.
+#: Functions per grouped engine call when no sharded sink dictates a shard
+#: size; bounds peak memory at one chunk's metric columns.
 _DEFAULT_FUSED_CHUNK = 64
 
 
@@ -76,10 +79,6 @@ class HarnessConfig:
     backend:
         Execution backend name (``"serial"`` or ``"vectorized"``) used for
         invocation batches.
-    stream_records:
-        Discard each function's per-invocation records from the platform log
-        once its measurement window has been aggregated, keeping memory
-        bounded during large generation runs (billing totals are preserved).
     """
 
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
@@ -88,7 +87,6 @@ class HarnessConfig:
     exclude_cold_starts: bool = True
     seed: int = 0
     backend: str = "serial"
-    stream_records: bool = True
 
     def __post_init__(self) -> None:
         if not self.memory_sizes_mb:
@@ -176,19 +174,19 @@ class MeasurementHarness:
         """
         index = self._next_index(index)
         memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
-        load = workload if workload is not None else self.config.workload
+        stats, counts = self.measure_chunk_stats(
+            [function], index_offset=index, memory_sizes_mb=memory_sizes, workload=workload
+        )
         measurement = FunctionMeasurement(
             function_name=function.name,
             application=function.application,
             segments=function.segments,
         )
-        for size_index, memory_mb in enumerate(memory_sizes):
-            summary = self._measure_at_size(
-                function, int(memory_mb), load, index, size_index
+        for j, memory_mb in enumerate(memory_sizes):
+            measurement.add_summary(
+                int(memory_mb),
+                summary_from_stats(function.name, memory_mb, stats[0, j], counts[0, j]),
             )
-            measurement.add_summary(int(memory_mb), summary)
-        if self.config.stream_records:
-            self.platform.discard_function_records(function.name)
         return measurement
 
     def measure_many(
@@ -220,37 +218,6 @@ class MeasurementHarness:
         return measurements
 
     # ----------------------------------------------------------- columnar path
-    def measure_function_stats(
-        self,
-        function: FunctionSpec,
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: Workload | None = None,
-        index: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure one function into a bare ``(n_sizes, n_metrics, n_stats)`` block.
-
-        The dict-free row producer of the columnar measurement table: each
-        memory size's batch is aggregated straight from the engine's batch
-        columns (:meth:`BatchResult.aggregate_stats`) without materializing a
-        :class:`MonitoringSummary` or any per-invocation dictionary.  Returns
-        the stat block plus the per-size invocation counts.  ``index``
-        behaves as in :meth:`measure_function`.
-        """
-        index = self._next_index(index)
-        memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
-        load = workload if workload is not None else self.config.workload
-        stats = np.zeros((len(memory_sizes), len(METRIC_NAMES), len(STAT_NAMES)))
-        counts = np.zeros(len(memory_sizes), dtype=np.int64)
-        for j, memory_mb in enumerate(memory_sizes):
-            batch = self._run_batch_at_size(function, int(memory_mb), load, index, j)
-            stats[j], counts[j] = batch.aggregate_stats(
-                warmup_s=load.warmup_s,
-                exclude_cold_starts=self.config.exclude_cold_starts,
-            )
-        if self.config.stream_records:
-            self.platform.discard_function_records(function.name)
-        return stats, counts
-
     def measure_chunk_stats(
         self,
         functions: list[FunctionSpec],
@@ -258,14 +225,14 @@ class MeasurementHarness:
         memory_sizes_mb: tuple[int, ...] | None = None,
         workload: Workload | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure a function chunk as ONE fused cross-function mega-batch.
+        """Measure a function chunk through ONE grouped engine call.
 
-        All ``len(functions) x n_sizes`` (function, size) groups are
-        flattened into a single columnar pass through the engine
-        (:meth:`ExecutionBackend.run_grouped`) and reduced to dense stat
-        blocks with segmented reductions — no per-group batches or objects.
-        Bit-identical to :meth:`measure_function_stats` per function because
-        every group draws from the same index-derived streams.
+        All ``len(functions) x n_sizes`` (function, size) groups go to the
+        engine together (:meth:`ExecutionBackend.run_grouped`) and are
+        reduced to dense stat blocks with segmented reductions.  Function
+        ``k`` of the chunk measures with absolute index ``index_offset + k``;
+        every group draws from its own index-derived streams, so the numbers
+        do not depend on how a list is cut into chunks.
 
         Returns
         -------
@@ -315,13 +282,10 @@ class MeasurementHarness:
     ):
         """Measure a list of functions into a columnar measurement table.
 
-        The array-first counterpart of :meth:`measure_many`.  With the
-        vectorized backend the run executes one fused cross-function
-        mega-batch per chunk — one chunk per shard when streaming into a
-        sharded sink, :data:`_DEFAULT_FUSED_CHUNK` functions otherwise —
-        instead of ``functions x sizes`` separate engine batches.  The serial
-        backend measures one batch per (function, size) pair.  Both
-        schedules produce bit-identical tables.
+        The array-first counterpart of :meth:`measure_many`: the list runs
+        as chunks of at most :data:`_DEFAULT_FUSED_CHUNK` functions (no more
+        than one shard when streaming into a sharded sink), each one grouped
+        engine call (:meth:`measure_chunk_stats`).
 
         ``sink`` selects where the stat blocks land.  By default a fresh
         :class:`~repro.dataset.table.MeasurementTableBuilder` collects them
@@ -351,78 +315,30 @@ class MeasurementHarness:
                     f"sink expects memory sizes {sink_sizes}, harness measures "
                     f"{memory_sizes}"
                 )
+        # One grouped engine call per chunk.  The chunk is capped at the
+        # memory-bounding default even when a sharded sink uses larger shards
+        # (the sink buffers rows until a shard fills, so chunking below the
+        # shard size never changes the output); per-group streams derive from
+        # absolute indices, so chunking never changes the numbers either.
         shard_size = int(getattr(sink, "shard_size", 0) or 0)
-        if not isinstance(self.backend, SerialBackend):
-            # Fused path: one columnar mega-batch per chunk.  The chunk is
-            # capped at the memory-bounding default even when a sharded sink
-            # uses larger shards (the sink buffers rows until a shard fills,
-            # so chunking below the shard size never changes the output);
-            # per-group streams derive from absolute indices, so chunking
-            # never changes the numbers either.
-            total = len(functions)
-            step = min(shard_size or _DEFAULT_FUSED_CHUNK, _DEFAULT_FUSED_CHUNK)
-            for start in range(0, total, step):
-                chunk = functions[start : start + step]
-                stats, counts = self.measure_chunk_stats(
-                    chunk,
-                    index_offset=start,
-                    memory_sizes_mb=memory_sizes,
-                    workload=workload,
+        total = len(functions)
+        step = min(shard_size or _DEFAULT_FUSED_CHUNK, _DEFAULT_FUSED_CHUNK)
+        for start in range(0, total, step):
+            chunk = functions[start : start + step]
+            stats, counts = self.measure_chunk_stats(
+                chunk,
+                index_offset=start,
+                memory_sizes_mb=memory_sizes,
+                workload=workload,
+            )
+            for k, function in enumerate(chunk):
+                sink.add_function(
+                    function.name,
+                    application=function.application,
+                    segments=function.segments,
+                    stats=stats[k],
+                    counts=counts[k],
                 )
-                for k, function in enumerate(chunk):
-                    sink.add_function(
-                        function.name,
-                        application=function.application,
-                        segments=function.segments,
-                        stats=stats[k],
-                        counts=counts[k],
-                    )
-                    if progress_callback is not None:
-                        progress_callback(start + k + 1, total, function.name)
-            return sink.build()
-        for index, function in enumerate(functions):
-            stats, counts = self.measure_function_stats(
-                function, memory_sizes_mb=memory_sizes, workload=workload, index=index
-            )
-            sink.add_function(
-                function.name,
-                application=function.application,
-                segments=function.segments,
-                stats=stats,
-                counts=counts,
-            )
-            if progress_callback is not None:
-                progress_callback(index + 1, len(functions), function.name)
+                if progress_callback is not None:
+                    progress_callback(start + k + 1, total, function.name)
         return sink.build()
-
-    # ------------------------------------------------------------------ internal
-    def _run_batch_at_size(
-        self,
-        function: FunctionSpec,
-        memory_mb: int,
-        workload: Workload,
-        index: int,
-        size_index: int,
-    ):
-        """Deploy at one size and run the arrival batch through the backend."""
-        self.platform.deploy(function.name, function.profile, memory_mb)
-        return self.platform.invoke_batch(
-            function.name,
-            self._arrivals_for(workload, index, size_index),
-            backend=self.backend,
-            rng=self._execution_rng(index, size_index),
-        )
-
-    def _measure_at_size(
-        self,
-        function: FunctionSpec,
-        memory_mb: int,
-        workload: Workload,
-        index: int,
-        size_index: int,
-    ) -> MonitoringSummary:
-        batch = self._run_batch_at_size(function, memory_mb, workload, index, size_index)
-        return batch.aggregate(
-            warmup_s=workload.warmup_s,
-            exclude_cold_starts=self.config.exclude_cold_starts,
-        )

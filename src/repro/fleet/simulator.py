@@ -24,8 +24,8 @@ controller (:mod:`repro.fleet.controller`) and the savings ledger consume;
 :meth:`SparseFleetWindow.to_dense` gives the function-indexed
 :class:`FleetWindow` view.
 
-Memory stays bounded by one window: batch columns are transient, per-function
-records are discarded from the platform log after aggregation, and the
+Memory stays bounded by one window: batch columns are transient, grouped
+execution leaves no per-invocation records in the platform log, and the
 simulator retains only the fleet's current deployment state.
 
 At platform scale (10^5–10^6 functions, mostly idle under diurnal traffic)
@@ -113,9 +113,6 @@ class FleetConfig:
         Optional per-function cap on simulated arrivals per window; the
         arrival *pattern* is preserved by uniform subsampling, exactly like
         the offline harness cap.
-    stream_records:
-        Discard per-invocation records from the platform log after each
-        window (keeps memory bounded; billing totals are preserved).
     seed:
         Base seed of the window traffic streams and the per-(function,
         window) noise streams.
@@ -142,7 +139,6 @@ class FleetConfig:
     backend: str = "vectorized"
     exclude_cold_starts: bool = True
     max_arrivals_per_window: int | None = None
-    stream_records: bool = True
     seed: int = 0
     cohort_mode: str = "off"
     cohort_rate_buckets_per_decade: int = 2
@@ -582,12 +578,6 @@ class FleetSimulator:
         cold_e = batch.cold_starts_per_group()
         cost_e = batch.cost_per_group()
         self.profiler.add("reduce", perf_counter() - tick)
-        if self.config.stream_records:
-            # The vectorized backend materializes no records, but the serial
-            # backend's scalar path appends every invocation to the platform
-            # log — drop the window's records in one pass so memory stays
-            # bounded by one window regardless of backend.
-            self.platform.discard_all_records()
         if plan is None:
             return active, stats_e, ninv_e, cold_e, cost_e
         tick = perf_counter()
@@ -604,16 +594,16 @@ class FleetSimulator:
         ninv_k = np.rint(ninv_e[rep_idx] * scale).astype(np.int64)
         cold_k = np.rint(cold_e[rep_idx] * scale).astype(np.int64)
         cost_k = cost_e[rep_idx] * scale
+        # Members never touched the engine: book their scaled cost and
+        # invocation count on the platform so billing totals stay consistent
+        # with the window's columns.
         members = np.flatnonzero(plan != np.arange(k))
-        for position in members:
-            # Members never touched the engine: book their scaled cost and
-            # invocation count on the platform so billing totals stay
-            # consistent with the window's columns.
-            name = self.functions[int(active[position])].name
-            self.platform._note_cost(name, float(cost_k[position]))
-            self.platform._functions[name].invocation_count += int(
-                counts_all[active[position]]
-            )
+        member_rows = active[members]
+        self.platform.bill(
+            [self._deployments[i] for i in member_rows.tolist()],
+            counts_all[member_rows].tolist(),
+            cost_k[members].tolist(),
+        )
         self.profiler.add("reduce", perf_counter() - tick)
         return active, stats_k, ninv_k, cold_k, cost_k
 

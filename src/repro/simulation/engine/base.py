@@ -229,15 +229,27 @@ class ExecutionBackend(abc.ABC):
         vectorized backend overrides this with its kernelized single-pass
         executor; both produce bit-identical numbers because every group
         draws its noise from its own request stream.
+
+        Like the kernelized executor, the looped path rejects unsorted or
+        negative group arrivals before running anything, and it leaves no
+        per-invocation records behind: once a group's columns are built, its
+        function's records are discarded from the platform log (billing totals
+        are kept), so memory stays bounded by one group.
         """
         from repro.monitoring.metrics import METRIC_NAMES
-        from repro.simulation.engine.grouped import GroupedBatch
+        from repro.simulation.engine.grouped import (
+            GroupedBatch,
+            validate_group_timestamps,
+        )
 
         if not requests:
             raise SimulationError("run_grouped needs at least one group request")
         offsets = np.zeros(len(requests) + 1, dtype=np.int64)
+        np.cumsum([r.arrivals.shape[0] for r in requests], out=offsets[1:])
+        timestamps = np.concatenate([r.arrivals for r in requests])
+        validate_group_timestamps(timestamps, offsets, requests)
         batches = []
-        for g, request in enumerate(requests):
+        for request in requests:
             # Execute against the deployment captured at request-build time:
             # a multi-size group list (the harness measuring one function at
             # several sizes) holds requests whose deployment is no longer
@@ -252,42 +264,31 @@ class ExecutionBackend(abc.ABC):
                 )
             elif request.fresh_pool:
                 platform._instances[request.function_name] = []
-            offsets[g + 1] = offsets[g] + int(request.arrivals.shape[0])
             if request.arrivals.shape[0] == 0:
-                batches.append(None)
                 continue
             batches.append(
                 self.run_batch(
                     platform, request.function_name, request.arrivals, rng=request.rng
                 )
             )
+            platform.discard_function_records(request.function_name)
 
-        def column(attribute, empty):
-            parts = [
-                getattr(batch, attribute) if batch is not None else empty
-                for batch in batches
-            ]
-            return np.concatenate(parts)
+        def column(parts, dtype=float):
+            return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-        none = np.empty(0)
         return GroupedBatch(
             function_names=tuple(r.function_name for r in requests),
             memory_mb=np.array([r.memory_mb for r in requests], dtype=float),
             offsets=offsets,
-            timestamps_s=column("timestamps_s", none),
-            execution_time_ms=column("execution_time_ms", none),
-            init_duration_ms=column("init_duration_ms", none),
-            cold_start=column("cold_start", np.empty(0, dtype=bool)),
-            instance_ids=column("instance_ids", np.empty(0, dtype=np.int64)),
-            cost_usd=column("cost_usd", none),
-            billed_duration_ms=column("billed_duration_ms", none),
+            timestamps_s=timestamps,
+            execution_time_ms=column([b.execution_time_ms for b in batches]),
+            init_duration_ms=column([b.init_duration_ms for b in batches]),
+            cold_start=column([b.cold_start for b in batches], bool),
+            instance_ids=column([b.instance_ids for b in batches], np.int64),
+            cost_usd=column([b.cost_usd for b in batches]),
+            billed_duration_ms=column([b.billed_duration_ms for b in batches]),
             metrics={
-                name: np.concatenate(
-                    [
-                        batch.metrics[name] if batch is not None else none
-                        for batch in batches
-                    ]
-                )
+                name: column([b.metrics[name] for b in batches])
                 for name in METRIC_NAMES
             },
         )

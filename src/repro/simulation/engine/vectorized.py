@@ -141,7 +141,6 @@ class VectorizedBackend(ExecutionBackend):
         cold_start, init_ms, instance_ids = walk_instances(
             platform, function_name, memory_mb, arrivals, exec_ms, init_base_ms, cold_noise
         )
-        function.invocation_count += n
 
         billed_ms = platform.pricing_model.billed_duration_batch_ms(exec_ms)
         cost_usd = platform.pricing_model.execution_cost_batch(exec_ms, memory_mb)
@@ -157,7 +156,7 @@ class VectorizedBackend(ExecutionBackend):
             billed_duration_ms=billed_ms,
             metrics=execution.metrics,
         )
-        platform._note_cost(function_name, batch.total_cost_usd)
+        platform.bill((function,), (n,), (batch.total_cost_usd,))
         return batch
 
     def _buffer(self, key: str, n: int) -> np.ndarray:
@@ -398,12 +397,9 @@ class VectorizedBackend(ExecutionBackend):
             billed_duration_ms=billed_ms,
             metrics=metrics,
         )
-        sizes_l = sizes.tolist()
-        for g, (name, cost) in enumerate(
-            zip(batch.function_names, batch.cost_per_group())
-        ):
-            if sizes_l[g]:
-                platform._note_cost(name, float(cost))
+        platform.bill(
+            [r.deployment for r in requests], sizes_l, batch.cost_per_group().tolist()
+        )
         return batch
 
     def _walk_all_groups(
@@ -542,7 +538,6 @@ class VectorizedBackend(ExecutionBackend):
             )
             cum_end_l = cum[ends_ne].tolist()
             for g, request in enumerate(requests):
-                deployment = request.deployment
                 if n_cold_l[g]:
                     instance = worker_cls(
                         instance_id=next_id + cum_end_l[g],
@@ -555,8 +550,7 @@ class VectorizedBackend(ExecutionBackend):
                     instance.invocations += off_l[g + 1] - off_l[g]
                 instance.busy_until_s = busy_l[g]
                 instance.last_used_s = busy_l[g]
-                instances_map[deployment.name] = [instance]
-                deployment.invocation_count += off_l[g + 1] - off_l[g]
+                instances_map[request.deployment.name] = [instance]
             platform._next_instance_id = next_id + int(cum[-1])
             return cold_start, init_ms, instance_ids
         for g, request in enumerate(requests):
@@ -603,6 +597,5 @@ class VectorizedBackend(ExecutionBackend):
                 cold_start[a:b] = cold_g
                 init_ms[a:b] = init_g
                 instance_ids[a:b] = ids_g
-            request.deployment.invocation_count += b - a
         platform._next_instance_id = next_id
         return cold_start, init_ms, instance_ids

@@ -304,7 +304,6 @@ class ServerlessPlatform:
         instance.busy_until_s = start_s + result.total_latency_ms / 1000.0
         instance.last_used_s = instance.busy_until_s
         instance.invocations += 1
-        function.invocation_count += 1
 
         billed_ms = self.pricing_model.billed_duration_ms(result.execution_time_ms)
         cost = self.pricing_model.execution_cost(result.execution_time_ms, function.memory_mb)
@@ -319,7 +318,7 @@ class ServerlessPlatform:
         )
         self.invocation_log.append(record)
         self._records_by_function.setdefault(name, []).append(record)
-        self._note_cost(name, cost)
+        self.bill((function,), (1,), (cost,))
         return record
 
     def invoke_many(self, name: str, timestamps_s: list[float]) -> list[InvocationRecord]:
@@ -359,10 +358,27 @@ class ServerlessPlatform:
         return resolved.run_batch(self, name, arrivals, rng=rng)
 
     # ---------------------------------------------------------------- billing
-    def _note_cost(self, name: str, cost_usd: float) -> None:
-        """Add an amount to the per-function and global billing totals."""
-        self._cost_by_function[name] = self._cost_by_function.get(name, 0.0) + cost_usd
-        self._cost_total += cost_usd
+    def bill(self, deployments, invocations, cost_usd) -> None:
+        """Book invocation counts and billed costs, one row per deployment.
+
+        The platform's only billing writer: every execution path (scalar
+        :meth:`invoke`, engine batches, grouped mega-batches and the fleet's
+        cohort broadcast) reports here.  ``deployments``, ``invocations`` and
+        ``cost_usd`` are parallel sequences; rows are booked in the given
+        order and costs added one after another, so totals do not depend on
+        how a caller batches its rows.  Rows with zero invocations are
+        skipped.
+        """
+        by_function = self._cost_by_function
+        total = self._cost_total
+        for deployment, count, cost in zip(deployments, invocations, cost_usd):
+            if not count:
+                continue
+            deployment.invocation_count += count
+            name = deployment.name
+            by_function[name] = by_function.get(name, 0.0) + cost
+            total += cost
+        self._cost_total = total
 
     def total_cost_usd(self, name: str | None = None) -> float:
         """Total billed cost, optionally restricted to one function.
@@ -391,26 +407,12 @@ class ServerlessPlatform:
         self._cost_by_function.clear()
         self._cost_total = 0.0
 
-    def discard_all_records(self) -> int:
-        """Drop every retained invocation record, keeping all billing totals.
-
-        The bulk counterpart of :meth:`discard_function_records`, used by
-        window-oriented callers (the fleet simulator's fused path) after
-        aggregating a whole window: clearing once is O(records) instead of
-        one log rebuild per function.  Returns the number of records
-        discarded.
-        """
-        dropped = len(self.invocation_log)
-        self.invocation_log.clear()
-        self._records_by_function.clear()
-        return dropped
-
     def discard_function_records(self, name: str) -> int:
         """Drop one function's retained records, keeping its billing totals.
 
-        Harnesses call this after aggregating a measurement window so that the
-        log stays bounded during large generation runs.  Returns the number of
-        records discarded.
+        The looped :meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`
+        calls this once a group's records are columns, so grouped runs leave
+        no records behind.  Returns the number of records discarded.
         """
         dropped = self._records_by_function.pop(name, None)
         if not dropped:

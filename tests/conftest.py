@@ -172,8 +172,7 @@ def run_looped_window(simulator) -> SparseFleetWindow:
         )
         n_cold_starts[j] = batch.n_cold_starts
         cost_usd[j] = batch.total_cost_usd
-        if config.stream_records:
-            simulator.platform.discard_function_records(name)
+        simulator.platform.discard_function_records(name)
     window = SparseFleetWindow(
         index=simulator.windows_run,
         start_s=start_s,
@@ -191,7 +190,45 @@ def run_looped_window(simulator) -> SparseFleetWindow:
     return window
 
 
+def measure_looped_blocks(harness, functions, memory_sizes_mb=None):
+    """Measure a function list through a per-(function, size) loop.
+
+    The independent reference of ``MeasurementHarness.measure_table`` and
+    ``measure_many``: the same index-derived arrival and noise streams, but
+    one deploy, one ``platform.invoke_batch`` engine batch and one stat
+    reduction per (function, size) pair instead of one grouped engine call
+    per chunk.  Returns ``(n_functions, n_sizes, n_metrics, n_stats)`` stats
+    and ``(n_functions, n_sizes)`` surviving invocation counts.
+    """
+    sizes = memory_sizes_mb if memory_sizes_mb is not None else harness.config.memory_sizes_mb
+    load = harness.config.workload
+    platform = harness.platform
+    stats = np.zeros((len(functions), len(sizes), len(METRIC_NAMES), len(STAT_NAMES)))
+    counts = np.zeros((len(functions), len(sizes)), dtype=np.int64)
+    for index, function in enumerate(functions):
+        for j, memory_mb in enumerate(sizes):
+            platform.deploy(function.name, function.profile, int(memory_mb))
+            batch = platform.invoke_batch(
+                function.name,
+                harness._arrivals_for(load, index, j),
+                backend=harness.backend,
+                rng=harness._execution_rng(index, j),
+            )
+            stats[index, j], counts[index, j] = batch.aggregate_stats(
+                warmup_s=load.warmup_s,
+                exclude_cold_starts=harness.config.exclude_cold_starts,
+            )
+        platform.discard_function_records(function.name)
+    return stats, counts
+
+
 @pytest.fixture()
 def looped_window():
     """The per-function looped window reference (:func:`run_looped_window`)."""
     return run_looped_window
+
+
+@pytest.fixture()
+def looped_blocks():
+    """The per-(function, size) harness reference (:func:`measure_looped_blocks`)."""
+    return measure_looped_blocks

@@ -6,7 +6,8 @@ bit-identical to the looped per-group schedule: every (function, size) or
 each group's noise in the same order, and both reduce through the same
 segmented-summation primitive.  These tests enforce that for fleet windows
 (all traffic models, against a per-function ``invoke_batch`` loop), for
-``measure_table`` against the ``measure_many`` object path and across sinks, and
+``measure_table`` against a per-(function, size) ``invoke_batch`` loop, the
+``measure_many`` object path and across sinks, and
 for stressed instance-pool dynamics (overlaps, keep-alive expiry); plus the
 malformed-offset / malformed-request error paths and the seeding helper's
 determinism.
@@ -20,7 +21,6 @@ import pytest
 from repro.errors import ConfigurationError, MonitoringError, SimulationError
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
-from repro.dataset.table import measurement_stat_block
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.monitoring.aggregation import (
     STAT_NAMES,
@@ -289,6 +289,23 @@ class TestGroupedBatchErrors:
             with pytest.raises(SimulationError):
                 backend.run_grouped(platform, [request])
 
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_run_grouped_rejects_unsorted_group(self, backend_name, cpu_function):
+        """Both the looped and the kernelized run_grouped refuse a group whose
+        arrivals are out of order, before executing anything."""
+        platform = ServerlessPlatform.noise_free(seed=0)
+        platform.deploy(cpu_function.name, cpu_function.profile, 256)
+        request = GroupRequest.for_deployed(
+            platform,
+            cpu_function.name,
+            np.array([5.0, 1.0, 3.0]),
+            np.random.default_rng(0),
+        )
+        with pytest.raises(SimulationError):
+            get_backend(backend_name).run_grouped(platform, [request])
+        assert platform.get_function(cpu_function.name).invocation_count == 0
+        assert platform.total_cost_usd() == 0.0
+
 
 class TestFusedVersusLooped:
     """Bit-identical fused-vs-looped execution on shared group streams."""
@@ -520,26 +537,22 @@ class TestMeasureTableParity:
     def _table(self, functions, backend, **kwargs):
         return self._harness(backend).measure_table(functions, **kwargs)
 
-    @staticmethod
-    def _looped_blocks(harness, functions, sizes):
-        """The looped reference: ``measure_many`` objects -> stat blocks."""
-        blocks = [
-            measurement_stat_block(measurement, sizes)
-            for measurement in harness.measure_many(functions)
-        ]
-        return (
-            np.stack([stats for stats, _ in blocks]),
-            np.stack([counts for _, counts in blocks]),
-        )
-
-    def test_fused_equals_looped_vectorized(self):
+    def test_fused_equals_looped_vectorized(self, looped_blocks):
         functions = _functions(7, seed=41)
         fused = self._table(functions, "vectorized")
-        stats, counts = self._looped_blocks(
-            self._harness("vectorized"), functions, self.SIZES
-        )
+        stats, counts = looped_blocks(self._harness("vectorized"), functions, self.SIZES)
         np.testing.assert_array_equal(fused.values, stats)
         np.testing.assert_array_equal(fused.n_invocations, counts)
+
+    def test_serial_table_equals_looped_serial(self, looped_blocks):
+        """The serial backend's table (grouped, looped run_grouped) equals
+        the per-(function, size) serial batches bit for bit."""
+        functions = _functions(3, seed=42)
+        table = self._table(functions, "serial")
+        harness = self._harness("serial")
+        stats, counts = looped_blocks(harness, functions, self.SIZES)
+        np.testing.assert_array_equal(table.values, stats)
+        np.testing.assert_array_equal(table.n_invocations, counts)
 
     def test_serial_looped_matches_fused_statistically(self):
         functions = _functions(3, seed=43)
@@ -586,14 +599,14 @@ class TestMeasureTableParity:
         np.testing.assert_array_equal(in_memory.n_invocations, sharded.n_invocations)
         assert in_memory.function_names == sharded.function_names
 
-    def test_looped_generation_equals_fused(self):
+    def test_looped_generation_equals_fused(self, looped_blocks):
         config = DatasetGenerationConfig(
             n_functions=6, memory_sizes_mb=self.SIZES,
             invocations_per_size=15, seed=78, backend="vectorized",
         )
         fused = TrainingDatasetGenerator(config).generate_table()
         looped = TrainingDatasetGenerator(config)
-        stats, counts = self._looped_blocks(
+        stats, counts = looped_blocks(
             looped.harness,
             looped.function_generator.generate(config.n_functions),
             self.SIZES,

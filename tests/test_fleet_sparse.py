@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import SizelessPredictor
+from repro.dataset.harness import HarnessConfig
 from repro.errors import ConfigurationError
 from repro.fleet import (
     ControllerConfig,
@@ -616,9 +617,15 @@ class TestConfigValidation:
             {"window_shard_size": 8},
             {"dtype": "float32"},
             {"noise": "pooled"},
+            {"stream_records": True},
         ],
         ids=lambda knob: next(iter(knob)),
     )
     def test_removed_execution_knobs_raise(self, knob):
         with pytest.raises(TypeError):
             FleetConfig(**knob)
+
+    def test_harness_stream_records_removed(self):
+        # Grouped runs leave no records, so the harness has nothing to discard.
+        with pytest.raises(TypeError):
+            HarnessConfig(stream_records=True)

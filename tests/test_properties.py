@@ -2,7 +2,8 @@
 
 These cover the arithmetic cores that every experiment depends on: the pricing
 scheme, the resource scaling model, the trade-off optimizer, profile
-composition, and the regression metrics.
+composition, and the regression metrics; plus the conservation of billed cost
+between a fleet's window columns and the platform's billing totals.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import MemorySizeOptimizer
+from repro.fleet import FleetConfig, FleetSimulator
 from repro.ml.metrics import explained_variance_score, mean_squared_error, r2_score
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.pricing import PricingModel
 from repro.simulation.profile import ResourceProfile
 from repro.simulation.scaling import ResourceScalingModel
 from repro.simulation.variability import VariabilityModel
+from repro.workloads.function import FunctionSpec
+from repro.workloads.traffic import ConstantTraffic
 
 MEMORY_SIZES = [128, 256, 512, 1024, 2048, 3008]
 
@@ -180,3 +184,50 @@ class TestMetricProperties:
         y = np.array(data[0])
         assert mean_squared_error(y, y) == 0.0
         assert r2_score(y, y) == 1.0
+
+
+class TestBillingConservation:
+    """Window cost columns and platform billing agree, whatever the schedule."""
+
+    PROFILES = (
+        ResourceProfile(cpu_user_ms=120.0, memory_working_set_mb=40.0),
+        ResourceProfile(cpu_user_ms=15.0, network_bytes_in=2e5, blocking_fraction=0.6),
+    )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        backend=st.sampled_from(["serial", "vectorized"]),
+        cohort_mode=st.sampled_from(["off", "statistical"]),
+        rates=st.lists(st.sampled_from([1e-5, 0.004, 0.02, 0.03]), min_size=1, max_size=12),
+    )
+    def test_window_costs_equal_platform_billing(self, seed, backend, cohort_mode, rates):
+        # Few shared profiles and rates put functions into common cohorts,
+        # so the statistical mode exercises the member broadcast; the 1e-5
+        # rate leaves a function idle in most windows.
+        functions = [
+            FunctionSpec(name=f"bill-{i}", profile=self.PROFILES[i % 2])
+            for i in range(len(rates))
+        ]
+        traffic = [ConstantTraffic(rate_rps=rate) for rate in rates]
+        simulator = FleetSimulator(
+            functions,
+            traffic,
+            FleetConfig(window_s=900.0, backend=backend, cohort_mode=cohort_mode, seed=seed),
+        )
+        platform = simulator.platform
+        per_function = np.zeros(len(functions))
+        for window_index in range(3):
+            if window_index == 2:
+                simulator.resize(0, 1024)  # billing follows the new deployment
+            billed = platform.total_cost_usd()
+            window = simulator.run_window()
+            assert np.isclose(
+                platform.total_cost_usd() - billed, window.total_cost_usd, rtol=1e-12, atol=0.0
+            )
+            assert platform.invocation_log == []
+            per_function[window.active] += window.cost_usd
+        for i, function in enumerate(functions):
+            assert np.isclose(
+                platform.total_cost_usd(function.name), per_function[i], rtol=1e-12, atol=0.0
+            )
