@@ -385,7 +385,8 @@ def test_bench_sparse_window_speedup():
     Parity is gated first at a sub-scale: the sparse window equals one
     dense engine group per function on the same fleet arrivals and streams,
     bit for bit.  Then the speedup is measured at full scale against the
-    O(fleet) dense reference body.
+    O(fleet) dense reference body, each side timed best-of-3 on a fresh
+    simulator, so one noisy run on a shared machine cannot sink the ratio.
     """
     parity_functions, parity_traffic = _sparse_scenario(
         min(2_000, SPARSE_FUNCTIONS)
@@ -399,10 +400,12 @@ def test_bench_sparse_window_speedup():
     )
 
     functions, traffic = _sparse_scenario()
-    sparse_seconds, sparse_invocations, sparse_windows = execute_sparse_windows(
-        functions, traffic
+    sparse_seconds, sparse_invocations, sparse_windows = _best_of(
+        3, lambda: execute_sparse_windows(functions, traffic)
     )
-    dense_seconds, _, _ = execute_dense_reference_windows(functions, traffic)
+    dense_seconds, _, _ = _best_of(
+        3, lambda: execute_dense_reference_windows(functions, traffic)
+    )
 
     active = int(np.mean([w.n_active for w in sparse_windows]))
     speedup = dense_seconds / sparse_seconds
@@ -413,7 +416,7 @@ def test_bench_sparse_window_speedup():
         f"{sparse_invocations:,} arrivals): "
         f"sparse {sparse_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window, "
         f"dense {dense_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window "
-        f"({speedup:.1f}x)"
+        f"({speedup:.1f}x, best of 3)"
     )
     assert sparse_invocations > 0
     # ~1 % of the fleet active per window is the scenario's premise.

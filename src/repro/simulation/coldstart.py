@@ -79,23 +79,13 @@ class ColdStartModel:
     def noise_params(self) -> tuple[float, float]:
         """``(mu, sigma)`` of the unit-mean log-normal cold-start noise.
 
-        Single source of the parameterization, so callers that hoist the
-        parameters out of per-group loops (the vectorized grouped executor)
-        draw bit-identically to :meth:`noise_factors`.
+        Single source of the parameterization: the scalar noise in
+        :meth:`duration_ms` and the vectorized backend's grouped kernel, which
+        hoists it out of its per-group loop and draws
+        ``rng.lognormal(mu, sigma, n)`` itself, both use it.
         """
         sigma = float(np.sqrt(np.log(1.0 + self.noise_cv**2)))
         return -0.5 * sigma * sigma, sigma
-
-    def noise_factors(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Batch of unit-mean multiplicative noise factors for ``n`` cold starts.
-
-        The batch counterpart of the noise applied inside :meth:`duration_ms`,
-        kept here so the cold-start noise shape is owned by one class.
-        """
-        if self.noise_cv <= 0:
-            return np.ones(n)
-        mu, sigma = self.noise_params()
-        return rng.lognormal(mean=mu, sigma=sigma, size=n)
 
     def is_expired(self, idle_time_s: float) -> bool:
         """Whether a warm instance idle for ``idle_time_s`` has been reclaimed."""

@@ -9,8 +9,12 @@ infeasible, so the platform delegates batch execution to a pluggable
 - :class:`~repro.simulation.engine.serial.SerialBackend` — the original scalar
   path, kept as the reference implementation (the test oracle);
 - :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — the one
-  fast path: whole arrival batches in numpy, and many (function, size)
-  groups as one kernelized columnar mega-batch.
+  fast path: many (function, size) groups as one kernelized columnar
+  mega-batch; a single arrival batch is the same kernel with one group.
+
+Every backend also inherits the *looped* grouped reference,
+:meth:`ExecutionBackend.run_grouped`, which runs one :meth:`run_batch` per
+group.
 
 Backends are selected by name (a declarative config concern: harness, dataset
 generator, fleet simulator and pipeline all expose a ``backend=`` knob)
@@ -199,7 +203,8 @@ class ExecutionBackend(abc.ABC):
 
     Backends implement :meth:`run_batch` — execute one (function, size)
     arrival batch against a platform — and may override :meth:`run_grouped`
-    with a fused executor for many groups at once.
+    with a fused executor for many groups at once (the vectorized backend
+    does, and its :meth:`run_batch` is that executor with one group).
     """
 
     #: Registry name of the backend (used by the ``backend=`` config knobs).
@@ -227,14 +232,16 @@ class ExecutionBackend(abc.ABC):
         *looped* reference path — and concatenates the per-group columns into
         a :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
         vectorized backend overrides this with its kernelized single-pass
-        executor; both produce bit-identical numbers because every group
-        draws its noise from its own request stream.
+        executor, and its :meth:`run_batch` is that kernel with one group, so
+        for it the looped path checks grouping invariance: one kernel call
+        per group gives the same numbers as one call for all groups, because
+        every group draws its noise from its own request stream.
 
-        Like the kernelized executor, the looped path rejects unsorted or
-        negative group arrivals before running anything, and it leaves no
-        per-invocation records behind: once a group's columns are built, its
-        function's records are discarded from the platform log (billing totals
-        are kept), so memory stays bounded by one group.
+        Like the kernelized executor, the looped path rejects unsorted,
+        negative or non-finite group arrivals before running anything, and it
+        leaves no per-invocation records behind: once a group's columns are
+        built, its function's records are discarded from the platform log
+        (billing totals are kept), so memory stays bounded by one group.
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import (

@@ -14,11 +14,12 @@ executes them in one pass and reduces them straight to per-group
 This module holds what the executors share: the :class:`GroupRequest`
 input, the :class:`GroupedBatch` result, the cached per-group parameter
 columns, and the exact instance walks (:func:`walk_instances`,
-:func:`walk_group`, :func:`solve_cold_recurrence`).  The fast executor is
-:meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`;
-the looped reference is
-:meth:`repro.simulation.engine.base.ExecutionBackend.run_grouped` (one
-``run_batch`` per group).
+:func:`walk_group`, :func:`solve_cold_recurrence`).  The one executor is
+:meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`
+(its ``run_batch`` is the same kernel with one group); the looped reference
+is :meth:`repro.simulation.engine.base.ExecutionBackend.run_grouped` (one
+``run_batch`` per group, i.e. one kernel call per group on the vectorized
+backend, or the scalar oracle per arrival on the serial backend).
 
 Determinism survives grouping because every group carries its own random
 stream (spawned via :mod:`repro.simulation.seeding`): the grouped pass draws
@@ -622,8 +623,8 @@ def validate_group_timestamps(
 ) -> None:
     """One batched validation pass over all groups' concatenated arrivals.
 
-    Checks that timestamps are non-negative and non-decreasing inside every
-    group (decreases across group boundaries are fine).
+    Checks that timestamps are finite, non-negative and non-decreasing inside
+    every group (decreases across group boundaries are fine).
     """
     if not timestamps.shape[0]:
         return
@@ -631,13 +632,14 @@ def validate_group_timestamps(
     boundaries = offsets[1:-1] - 1
     boundaries = boundaries[(boundaries >= 0) & (boundaries < decreasing.shape[0])]
     decreasing[boundaries] = False
-    if np.any(timestamps < 0) or np.any(decreasing):
-        bad = np.nonzero(decreasing)[0]
-        g = int(np.searchsorted(offsets, bad[0], side="right") - 1) if bad.size else (
-            int(np.searchsorted(offsets, np.nonzero(timestamps < 0)[0][0], side="right") - 1)
-        )
+    # NaN fails every comparison, so test the values' validity positively.
+    invalid = ~(np.isfinite(timestamps) & (timestamps >= 0))
+    invalid[:-1] |= decreasing
+    if np.any(invalid):
+        first = int(np.argmax(invalid))
+        g = int(np.searchsorted(offsets, first, side="right") - 1)
         raise SimulationError(
             f"group {g} ({requests[g].function_name!r}): arrivals must be "
-            "sorted and non-negative"
+            "finite, sorted and non-negative"
         )
 

@@ -1,29 +1,26 @@
 """Numpy-vectorized execution backend: the one fast path.
 
-:meth:`VectorizedBackend.run_batch` computes an entire arrival batch — timing
-noise, resource scaling, managed service latencies, all 25 monitor metrics
-and billing — as numpy array operations with one random draw batch per noise
-source, instead of one scalar model evaluation per invocation.  Only the
-cold-start/instance bookkeeping remains a (cheap, arithmetic-only)
-sequential walk, because whether invocation ``i`` cold-starts depends on how
-long earlier invocations kept their workers busy.
-
 :meth:`VectorizedBackend.run_grouped` executes many (function, size) groups
 as one columnar mega-batch — the fleet-window and dataset-generation hot
-path — through three kernels:
+path — and :meth:`VectorizedBackend.run_batch` is the same kernel called
+with one group.  Timing noise, resource scaling, managed service latencies,
+all 25 monitor metrics and billing are numpy array operations; only the
+cold-start/instance bookkeeping keeps a (cheap, arithmetic-only) sequential
+fallback, because whether invocation ``i`` cold-starts depends on how long
+earlier invocations kept their workers busy.  The kernel runs three passes:
 
-1. **Raw noise draws** — per group, only the raw generator calls remain
-   (``lognormal``/``standard_normal``/``random``/``normal`` in the exact
-   stream order of :meth:`run_batch`); all post-draw arithmetic (tail
-   thresholding, jitter clamping, the service latency row math) runs batched
-   over the concatenated draws, which is bit-identical because the ops are
+1. **Raw noise draws** — per group, only the raw generator calls run
+   (``lognormal``/``standard_normal``/``random``/``normal``/``lognormal``
+   for cpu, service, tail, counter jitter and cold-start noise, in that
+   stream order); all post-draw arithmetic (tail thresholding, jitter
+   clamping, the service latency row math) runs batched over the
+   concatenated draws, which is bit-identical because the ops are
    elementwise or row-local.
 
 2. **Temporary-free fused metric kernel** — the group-level subexpressions
    of the timing model and the Table-1 formulas are evaluated once per group
    and gathered by group id through reusable scratch buffers
-   (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`,
-   bit-identical op order).
+   (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`).
 
 3. **Cross-group instance walk** — the single-server-run classification of
    :func:`~repro.simulation.engine.grouped.walk_group` evaluated once over
@@ -38,12 +35,13 @@ path — through three kernels:
    arrivals, duplicate non-fresh names — fall back to the per-group hybrid
    ``walk_group``.
 
-Every group draws its noise from its own request stream, so the grouped
-result is bit-identical to the looped reference
-(:meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped`: one
-:meth:`run_batch` per group).  With every noise source disabled both agree
-invocation for invocation with the serial backend (see
-``tests/test_engine_backends.py`` and ``tests/test_engine_grouped.py``).
+Every group draws its noise from its own request stream, so a mega-batch is
+bit-identical to running its groups one kernel call at a time (the looped
+reference,
+:meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped`).  With
+every noise source disabled both agree invocation for invocation with the
+serial backend (see ``tests/test_engine_backends.py`` and
+``tests/test_engine_grouped.py``).
 """
 
 from __future__ import annotations
@@ -56,16 +54,15 @@ from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult, ExecutionBackend, register_backend
 from repro.simulation.engine.grouped import (
     GroupedBatch,
+    GroupRequest,
     _param_column,
     _worker_instance_cls,
     solve_cold_recurrence,
     validate_group_timestamps,
     walk_group,
-    walk_instances,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.simulation.engine.grouped import GroupRequest
     from repro.simulation.platform import ServerlessPlatform
 
 
@@ -119,45 +116,17 @@ class VectorizedBackend(ExecutionBackend):
             Optional group-private noise stream
             (:mod:`repro.simulation.seeding`); defaults to the platform's
             shared generator.
+
+        The batch runs as a one-group :meth:`run_grouped` against the
+        function's current deployment, keeping its warm pool; billing happens
+        once, inside the kernel.
         """
-        function = platform.get_function(function_name)
-        profile = function.profile
-        memory_mb = function.memory_mb
-        model = platform.execution_model
-        rng = rng if rng is not None else platform.rng
-        n = int(arrivals.shape[0])
-
-        execution = model.execute_batch(profile, memory_mb, rng, arrivals)
-        exec_ms = execution.execution_time_ms
-
-        # Cold-start durations: deterministic base, one batched noise draw.
-        cpu_share = model.scaling.cpu_share(memory_mb)
-        cold_model = platform.cold_start_model
-        init_base_ms = cold_model.duration_ms(
-            memory_mb, profile.code_size_kb, cpu_share, rng=None
+        request = GroupRequest.for_deployed(
+            platform, function_name, arrivals, rng if rng is not None else platform.rng
         )
-        cold_noise = cold_model.noise_factors(rng, n) if cold_model.noise_cv > 0 else None
-
-        cold_start, init_ms, instance_ids = walk_instances(
-            platform, function_name, memory_mb, arrivals, exec_ms, init_base_ms, cold_noise
-        )
-
-        billed_ms = platform.pricing_model.billed_duration_batch_ms(exec_ms)
-        cost_usd = platform.pricing_model.execution_cost_batch(exec_ms, memory_mb)
-        batch = BatchResult(
-            function_name=function_name,
-            memory_mb=float(memory_mb),
-            timestamps_s=np.asarray(arrivals, dtype=float),
-            execution_time_ms=exec_ms,
-            init_duration_ms=init_ms,
-            cold_start=cold_start,
-            instance_ids=instance_ids,
-            cost_usd=cost_usd,
-            billed_duration_ms=billed_ms,
-            metrics=execution.metrics,
-        )
-        platform.bill((function,), (n,), (batch.total_cost_usd,))
-        return batch
+        # Called unbound: a subclass that overrides run_grouped with the
+        # looped reference (one run_batch per group) would otherwise recurse.
+        return VectorizedBackend.run_grouped(self, platform, [request]).group(0)
 
     def _buffer(self, key: str, n: int) -> np.ndarray:
         """A reusable ``float64`` scratch buffer of at least ``n`` elements (view)."""
@@ -169,7 +138,7 @@ class VectorizedBackend(ExecutionBackend):
         return buf[:n]
 
     def run_grouped(
-        self, platform: "ServerlessPlatform", requests: list["GroupRequest"]
+        self, platform: "ServerlessPlatform", requests: list[GroupRequest]
     ) -> GroupedBatch:
         """Execute many groups through the kernel pipeline (see module doc)."""
         from repro.simulation.execution import _HANDLER_OVERHEAD_MS
@@ -192,9 +161,9 @@ class VectorizedBackend(ExecutionBackend):
         column_cache = self._column_cache
 
         # Hoisted noise-distribution parameters: the per-group loop below
-        # only issues raw generator calls, in the exact stream order of
-        # run_batch (cpu, service, tail, jitters, cold), so per-group streams
-        # stay bit-exact; all post-draw arithmetic runs batched.
+        # only issues raw generator calls, in a fixed stream order (cpu,
+        # service, tail, jitters, cold), so each group's draws do not depend
+        # on its batch-mates; all post-draw arithmetic runs batched.
         cpu_cv = variability.cpu_noise_cv
         cpu_mu, cpu_sigma = variability.lognormal_params(cpu_cv)
         tail_p = float(variability.tail_probability)
@@ -405,7 +374,7 @@ class VectorizedBackend(ExecutionBackend):
     def _walk_all_groups(
         self,
         platform: "ServerlessPlatform",
-        requests: list["GroupRequest"],
+        requests: list[GroupRequest],
         offsets: np.ndarray,
         sizes: np.ndarray,
         gid: np.ndarray,

@@ -20,6 +20,7 @@ passing invocation timestamps (the open-loop load generator in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -276,8 +277,9 @@ class ServerlessPlatform:
 
     def invoke(self, name: str, at_time_s: float = 0.0) -> InvocationRecord:
         """Invoke a deployed function at virtual time ``at_time_s``."""
-        if at_time_s < 0:
-            raise SimulationError("at_time_s must be non-negative")
+        # Written so that NaN (which fails every comparison) is rejected too.
+        if not 0.0 <= at_time_s < math.inf:
+            raise SimulationError("at_time_s must be finite and non-negative")
         function = self.get_function(name)
         instance, is_cold = self._acquire_instance(name, function.memory_mb, at_time_s)
 
@@ -333,7 +335,8 @@ class ServerlessPlatform:
         name:
             Deployed function to invoke.
         timestamps_s:
-            Arrival timestamps (seconds, need not be sorted).
+            Arrival timestamps (seconds, need not be sorted; must be finite
+            and non-negative, checked before anything runs or is billed).
         backend:
             Backend name (``"serial"`` or ``"vectorized"``) or an
             :class:`~repro.simulation.engine.ExecutionBackend` instance;
@@ -344,17 +347,19 @@ class ServerlessPlatform:
             platform's shared generator.
 
         Returns a :class:`~repro.simulation.engine.BatchResult` with one column
-        per invocation attribute.  The serial backend also appends every
-        invocation to the log (exactly like :meth:`invoke`); the vectorized
-        backend only updates billing totals and instance state,
-        keeping memory bounded during large runs.
+        per invocation attribute.  The serial backend calls :meth:`invoke`
+        per arrival, so every invocation also lands in the log.  The
+        vectorized backend runs the batch as a one-group call of its grouped
+        kernel against the function's current deployment and warm pool; it
+        only updates billing totals and instance state, keeping memory bounded
+        during large runs.
         """
         from repro.simulation.engine import get_backend
 
         resolved = get_backend(backend if backend is not None else "serial")
         arrivals = np.sort(np.asarray(timestamps_s, dtype=float))
-        if np.any(arrivals < 0):
-            raise SimulationError("at_time_s must be non-negative")
+        if not np.all(np.isfinite(arrivals) & (arrivals >= 0)):
+            raise SimulationError("at_time_s must be finite and non-negative")
         return resolved.run_batch(self, name, arrivals, rng=rng)
 
     # ---------------------------------------------------------------- billing

@@ -62,10 +62,9 @@ class VariabilityModel:
         """``(mu, sigma)`` of a mean-1 log-normal with coefficient of variation ``cv``.
 
         This is the single source of the parameterization used by every noise
-        factory here; callers that hoist the parameters out of per-group loops
-        (the vectorized grouped executor) must use this helper so their raw
-        ``rng.lognormal(mu, sigma, n)`` draws stay bit-identical to
-        :meth:`cpu_factors`.
+        factor here; the vectorized backend's grouped kernel hoists it out of
+        its per-group loop and draws ``rng.lognormal(mu, sigma, n)`` itself,
+        so its factors follow exactly the distribution of :meth:`cpu_factor`.
         """
         sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
         return -0.5 * sigma * sigma, sigma
@@ -78,21 +77,9 @@ class VariabilityModel:
         mu, sigma = VariabilityModel.lognormal_params(cv)
         return float(rng.lognormal(mean=mu, sigma=sigma))
 
-    @staticmethod
-    def _lognormal_factors(rng: np.random.Generator, cv: float, n: int) -> np.ndarray:
-        """Batched counterpart of :meth:`_lognormal_factor` (one draw per entry)."""
-        if cv <= 0:
-            return np.ones(n)
-        mu, sigma = VariabilityModel.lognormal_params(cv)
-        return rng.lognormal(mean=mu, sigma=sigma, size=n)
-
     def cpu_factor(self, rng: np.random.Generator) -> float:
         """Noise factor for locally executed (CPU / fs) durations."""
         return self._lognormal_factor(rng, self.cpu_noise_cv)
-
-    def cpu_factors(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Batch of CPU noise factors for ``n`` invocations."""
-        return self._lognormal_factors(rng, self.cpu_noise_cv, n)
 
     def service_factor(self, rng: np.random.Generator) -> float:
         """Noise factor for managed-service latencies."""
@@ -107,13 +94,6 @@ class VariabilityModel:
         if self.tail_probability > 0 and rng.random() < self.tail_probability:
             return float(self.tail_multiplier)
         return 1.0
-
-    def tail_factors(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Batch of straggler multipliers for ``n`` invocations."""
-        if self.tail_probability <= 0:
-            return np.ones(n)
-        stragglers = rng.random(n) < self.tail_probability
-        return np.where(stragglers, float(self.tail_multiplier), 1.0)
 
     def drift_factor(self, timestamp_s: float) -> float:
         """Slow deterministic platform drift at ``timestamp_s`` (period ~1 h)."""

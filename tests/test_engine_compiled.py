@@ -2,13 +2,17 @@
 
 ``VectorizedBackend.run_grouped`` is the one fast path for grouped
 execution: a cross-group instance walk, a gather-based temporary-free
-metric kernel and raw per-group noise draws.  Its contract is bit-exactness
-against the looped reference — ``ExecutionBackend.run_grouped``, which
-executes one ``VectorizedBackend.run_batch`` per group — for every stat,
-cold-start flag, instance id and the platform pool state, across warm-pool
-carryover, resizes, duplicate-name batches, fresh pools and overlapping
-(unsafe) arrivals.  With noise disabled the ``serial`` scalar oracle agrees
-too.
+metric kernel and raw per-group noise draws, and
+``VectorizedBackend.run_batch`` is the same kernel called with one group.
+The looped reference — ``ExecutionBackend.run_grouped``, one ``run_batch``
+per group — is therefore one kernel call per group, so the suites that
+compare against it check grouping invariance: one call for all groups
+equals one call per group in every stat, cold-start flag, instance id and
+the platform pool state, across warm-pool carryover, resizes,
+duplicate-name batches, fresh pools and overlapping (unsafe) arrivals.  The
+kernel's semantics are checked against independent references: the scalar
+``walk_instances`` replayed on a twin platform (noisy execution), and the
+``serial`` scalar oracle with noise disabled.
 """
 
 from __future__ import annotations
@@ -219,6 +223,72 @@ class TestGroupedEdgeParity:
             # Scalar vs vectorized arithmetic: equal up to summation order.
             np.testing.assert_allclose(blk_a, blk_b, rtol=1e-9, atol=1e-12)
         assert pa._next_instance_id == pb._next_instance_id
+
+
+class TestKernelWalkEqualsScalarWalk:
+    """The kernel's instance walk equals the scalar per-arrival walk.
+
+    A walk defect shared by both schedules would pass the looped reference,
+    so every noisy kernel batch is replayed through ``walk_instances`` (the
+    platform's own acquisition logic, one arrival at a time) on a twin
+    platform, with the kernel's execution times.  Cold-start noise is off,
+    so init durations are exact.
+    """
+
+    @pytest.mark.parametrize("keep_alive_s", [600.0, 250.0, 0.3])
+    def test_noisy_batches_match_scalar_walk(self, keep_alive_s):
+        def make_platform():
+            return ServerlessPlatform(
+                config=PlatformConfig(seed=3),
+                cold_start_model=ColdStartModel(keep_alive_s=keep_alive_s, noise_cv=0.0),
+            )
+
+        kernel, scalar = make_platform(), make_platform()
+        funcs = _functions(4, seed=19, prefix="walk")
+        for platform in (kernel, scalar):
+            for f in funcs:
+                platform.deploy(f.name, f.profile, 512)
+        backend = VectorizedBackend()
+        rs = np.random.default_rng(7)
+        n_cold = 0
+        for b in range(32):
+            # The last function only sees idle runs, so its pool stays one
+            # instance and the kernel resolves it without the walk_group
+            # fallback.
+            f = funcs[3] if b % 4 == 3 else funcs[int(rs.integers(3))]
+            if b == 16:
+                for platform in (kernel, scalar):
+                    platform.set_memory_size(f.name, 1024)  # drops the warm pool
+            n = int(rs.integers(1, 80))
+            start = 100.0 * b
+            arrivals = (
+                np.sort(rs.uniform(start, start + 3.0, n)),  # overlapping
+                np.sort(rs.uniform(start, start + 100.0, n)),  # dense enough to queue
+                start + np.cumsum(rs.exponential(0.4, n)),  # gaps near a short keep-alive
+                start + 20.0 * np.arange(n % 5 + 1),  # idle single-server run
+            )[b % 4]
+            result = kernel.invoke_batch(
+                f.name, arrivals, backend=backend, rng=np.random.default_rng(b)
+            )
+            memory_mb = scalar.get_function(f.name).memory_mb
+            init_ms = scalar.cold_start_model.duration_ms(
+                memory_mb,
+                f.profile.code_size_kb,
+                scalar.execution_model.scaling.cpu_share(memory_mb),
+            )
+            cold, init, ids = grouped_mod.walk_instances(
+                scalar, f.name, memory_mb, arrivals, result.execution_time_ms,
+                init_ms, None,
+            )
+            np.testing.assert_array_equal(result.cold_start, cold)
+            np.testing.assert_array_equal(result.init_duration_ms, init)
+            np.testing.assert_array_equal(result.instance_ids, ids)
+            n_cold += int(cold.sum())
+        assert 0 < n_cold
+        assert kernel._next_instance_id == scalar._next_instance_id
+        assert TestGroupedEdgeParity._pools(kernel, funcs) == TestGroupedEdgeParity._pools(
+            scalar, funcs
+        )
 
 
 class TestDisagreementPath:

@@ -282,7 +282,7 @@ class TestGroupedBatchErrors:
                 platform, "missing", np.array([1.0]), np.random.default_rng(0)
             )
         platform.deploy(cpu_function.name, cpu_function.profile, 256)
-        for bad in ([3.0, 1.0], [-1.0, 2.0]):
+        for bad in ([3.0, 1.0], [-1.0, 2.0], [1.0, np.nan], [np.inf]):
             request = GroupRequest.for_deployed(
                 platform, cpu_function.name, np.array(bad), np.random.default_rng(0)
             )
@@ -292,17 +292,26 @@ class TestGroupedBatchErrors:
     @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
     def test_run_grouped_rejects_unsorted_group(self, backend_name, cpu_function):
         """Both the looped and the kernelized run_grouped refuse a group whose
-        arrivals are out of order, before executing anything."""
+        arrivals are out of order or not finite, before executing anything;
+        so do ``invoke_batch`` and the scalar ``invoke``."""
         platform = ServerlessPlatform.noise_free(seed=0)
         platform.deploy(cpu_function.name, cpu_function.profile, 256)
-        request = GroupRequest.for_deployed(
-            platform,
-            cpu_function.name,
-            np.array([5.0, 1.0, 3.0]),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(SimulationError):
-            get_backend(backend_name).run_grouped(platform, [request])
+        backend = get_backend(backend_name)
+        for arrivals in ([5.0, 1.0, 3.0], [1.0, np.nan], [np.inf], [2.0, np.inf]):
+            request = GroupRequest.for_deployed(
+                platform,
+                cpu_function.name,
+                np.array(arrivals),
+                np.random.default_rng(0),
+            )
+            with pytest.raises(SimulationError):
+                backend.run_grouped(platform, [request])
+            if np.all(np.isfinite(arrivals)):
+                continue  # unsorted input is sorted by invoke_batch
+            with pytest.raises(SimulationError):
+                platform.invoke_batch(cpu_function.name, arrivals, backend=backend)
+            with pytest.raises(SimulationError):
+                platform.invoke(cpu_function.name, at_time_s=arrivals[-1])
         assert platform.get_function(cpu_function.name).invocation_count == 0
         assert platform.total_cost_usd() == 0.0
 

@@ -3,7 +3,8 @@
 These cover the arithmetic cores that every experiment depends on: the pricing
 scheme, the resource scaling model, the trade-off optimizer, profile
 composition, and the regression metrics; plus the conservation of billed cost
-between a fleet's window columns and the platform's billing totals.
+between a fleet's window columns, the platform's billing totals and the
+savings ledger.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import MemorySizeOptimizer
-from repro.fleet import FleetConfig, FleetSimulator
+from repro.core.predictor import SizelessPredictor
+from repro.fleet import (
+    ControllerConfig,
+    FleetConfig,
+    FleetRightsizingService,
+    FleetSimulator,
+)
 from repro.ml.metrics import explained_variance_score, mean_squared_error, r2_score
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.pricing import PricingModel
@@ -21,6 +28,7 @@ from repro.simulation.profile import ResourceProfile
 from repro.simulation.scaling import ResourceScalingModel
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
+from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
 from repro.workloads.traffic import ConstantTraffic
 
 MEMORY_SIZES = [128, 256, 512, 1024, 2048, 3008]
@@ -231,3 +239,59 @@ class TestBillingConservation:
             assert np.isclose(
                 platform.total_cost_usd(function.name), per_function[i], rtol=1e-12, atol=0.0
             )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        backend=st.sampled_from(["serial", "vectorized"]),
+        cohort_mode=st.sampled_from(["off", "statistical"]),
+    )
+    def test_service_windows_conserve_cost_into_ledger(
+        self, seed, backend, cohort_mode, trained_model
+    ):
+        # Permissive guardrails make the controller resize (and roll back)
+        # within a few windows; the 1e-5 rate leaves functions idle.
+        functions = SyntheticFunctionGenerator(
+            config=GeneratorConfig(seed=seed, name_prefix="ledger")
+        ).generate(8)
+        rates = [0.02, 0.05, 1e-5, 0.03] * 2
+        simulator = FleetSimulator(
+            functions,
+            [ConstantTraffic(rate_rps=rate) for rate in rates],
+            FleetConfig(window_s=900.0, backend=backend, cohort_mode=cohort_mode, seed=seed),
+        )
+        service = FleetRightsizingService(
+            simulator,
+            SizelessPredictor(trained_model),
+            controller_config=ControllerConfig(
+                min_windows=1,
+                min_invocations=5,
+                cooldown_windows=0,
+                evaluation_windows=1,
+                rollback_tolerance=0.0,
+            ),
+        )
+        # Keep each simulated window so its cost column can be checked too.
+        windows = []
+        run_window = simulator.run_window
+
+        def run_and_keep():
+            windows.append(run_window())
+            return windows[-1]
+
+        simulator.run_window = run_and_keep
+        platform = simulator.platform
+        deltas = []
+        for _ in range(4):
+            billed = platform.total_cost_usd()
+            events, account = service.run_window()
+            delta = platform.total_cost_usd() - billed
+            assert np.isclose(delta, account.actual_cost_usd, rtol=1e-12, atol=0.0)
+            assert np.isclose(
+                account.actual_cost_usd, np.sum(windows[-1].cost_usd), rtol=1e-12, atol=0.0
+            )
+            assert account.resizes + account.rollbacks == len(events)
+            deltas.append(delta)
+        assert np.isclose(
+            service.ledger.total_actual_cost_usd, sum(deltas), rtol=1e-12, atol=0.0
+        )
