@@ -191,9 +191,8 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     fused mega-batch + one segmented reduction, or one engine batch + one
     stat reduction per function.  Returns ``(seconds, invocations, stats)``
     where ``stats`` is one ``(n_functions, n_metrics, n_stats)`` array per
-    window.  Shared by ``test_bench_fused_window_speedup`` and
-    ``tools/bench_report.py`` so the asserted and the reported scenario can
-    never drift apart.
+    window.  Used by ``test_bench_fused_window_speedup``; the recorded
+    end-to-end numbers come from ``e2ebench``.
     """
     simulator = FleetSimulator(
         functions, traffic, FleetConfig(window_s=WINDOW_S, seed=94)
@@ -282,7 +281,7 @@ def _sparse_scenario(n_functions=None):
     ).generate(min(SPARSE_BASE_SPECS, n_functions))
     # Cheap replication + batch-validated traffic construction: at the
     # million-function endurance scale the scenario build itself must not
-    # dominate the run (tracked as ``setup_seconds`` in BENCH_fleet.json).
+    # dominate the run (e2ebench tracks fleet set-up as ``setup_s``).
     functions = [
         bases[i % len(bases)].with_name(f"bench-sparse-{i}")
         for i in range(n_functions)
@@ -303,8 +302,7 @@ def execute_dense_reference_windows(functions, traffic, n_windows=SPARSE_WINDOWS
     One spawned traffic stream and one ``arrivals()`` call per function, one
     engine group per function (empty or not), one dense stat reduction —
     exactly what ``FleetSimulator.run_window`` did before sparse scheduling.
-    Used as the dense baseline of the sparse speedup and by
-    ``tools/bench_report.py``.
+    Used as the dense baseline of the sparse speedup.
     """
     simulator = FleetSimulator(
         functions, traffic, FleetConfig(window_s=WINDOW_S, seed=seed)

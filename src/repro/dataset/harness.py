@@ -14,8 +14,9 @@ experiments of a function chunk become the groups of one
 :meth:`~repro.simulation.engine.ExecutionBackend.run_grouped` call, and the
 grouped result is reduced straight to per-group stat rows with segmented
 reductions — no per-invocation metric dictionaries are materialized.
-:meth:`MeasurementHarness.measure_function` is the one-function chunk,
-:meth:`MeasurementHarness.measure_many` loops over it, and
+:meth:`MeasurementHarness.measure_chunk` builds the measurements of one
+chunk, :meth:`MeasurementHarness.measure_function` is the one-function
+chunk, :meth:`MeasurementHarness.measure_many` loops over it, and
 :meth:`MeasurementHarness.measure_table` runs the chunks of a whole list.
 The backend (:mod:`repro.simulation.engine`) decides how a chunk executes:
 the default ``"serial"`` backend runs one scalar batch per group (the
@@ -172,22 +173,47 @@ class MeasurementHarness:
         :class:`~repro.dataset.schema.FunctionMeasurement` holding one
         aggregated summary per memory size.
         """
-        index = self._next_index(index)
-        memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
+        return self.measure_chunk(
+            [function],
+            index_offset=self._next_index(index),
+            memory_sizes_mb=memory_sizes_mb,
+            workload=workload,
+        )[0]
+
+    def measure_chunk(
+        self,
+        functions: list[FunctionSpec],
+        index_offset: int = 0,
+        memory_sizes_mb: tuple[int, ...] | None = None,
+        workload: Workload | None = None,
+    ) -> list[FunctionMeasurement]:
+        """Measure a function chunk through one grouped engine call.
+
+        Function ``k`` measures with absolute index ``index_offset + k``, so
+        each measurement equals :meth:`measure_function` of that function at
+        that index.  Returns one
+        :class:`~repro.dataset.schema.FunctionMeasurement` per function.
+        """
+        if memory_sizes_mb is None:
+            memory_sizes_mb = self.config.memory_sizes_mb
         stats, counts = self.measure_chunk_stats(
-            [function], index_offset=index, memory_sizes_mb=memory_sizes, workload=workload
+            functions, index_offset=index_offset, memory_sizes_mb=memory_sizes_mb,
+            workload=workload,
         )
-        measurement = FunctionMeasurement(
-            function_name=function.name,
-            application=function.application,
-            segments=function.segments,
-        )
-        for j, memory_mb in enumerate(memory_sizes):
-            measurement.add_summary(
-                int(memory_mb),
-                summary_from_stats(function.name, memory_mb, stats[0, j], counts[0, j]),
+        measurements = []
+        for k, function in enumerate(functions):
+            measurement = FunctionMeasurement(
+                function_name=function.name,
+                application=function.application,
+                segments=function.segments,
             )
-        return measurement
+            for j, memory_mb in enumerate(memory_sizes_mb):
+                measurement.add_summary(
+                    int(memory_mb),
+                    summary_from_stats(function.name, memory_mb, stats[k, j], counts[k, j]),
+                )
+            measurements.append(measurement)
+        return measurements
 
     def measure_many(
         self,

@@ -201,9 +201,9 @@ class ExperimentContext:
                             backend=self.scale.backend,
                         ),
                     )
-                    repetitions.append(
-                        [harness.measure_function(function) for function in application.functions]
-                    )
+                    # One grouped engine call per (application, repetition);
+                    # function k keeps stream index k, as with one call each.
+                    repetitions.append(harness.measure_chunk(list(application.functions)))
                 measurements[application.name] = repetitions
             self._case_measurements = measurements
         return self._case_measurements

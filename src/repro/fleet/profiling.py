@@ -8,9 +8,8 @@ fleet simulator and the rightsizing service accumulate per-phase wall time
 into a :class:`WindowPhaseProfiler`: two ``perf_counter`` calls per phase
 per window (~100 ns each), so profiling stays always-on.
 
-``tools/bench_report.py`` surfaces the accumulated breakdown as the
-``phases`` section of ``BENCH_fleet.json`` (schema in
-``docs/PERFORMANCE.md``).
+The repo benchmark (``e2ebench/run.py --trace 1``) reports the accumulated
+breakdown as its ``fleet.phase.*`` metrics (see ``e2ebench/README.md``).
 """
 
 from __future__ import annotations

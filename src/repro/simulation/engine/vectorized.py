@@ -4,10 +4,8 @@
 as one columnar mega-batch — the fleet-window and dataset-generation hot
 path — and :meth:`VectorizedBackend.run_batch` is the same kernel called
 with one group.  Timing noise, resource scaling, managed service latencies,
-all 25 monitor metrics and billing are numpy array operations; only the
-cold-start/instance bookkeeping keeps a (cheap, arithmetic-only) sequential
-fallback, because whether invocation ``i`` cold-starts depends on how long
-earlier invocations kept their workers busy.  The kernel runs three passes:
+all 25 monitor metrics, billing and the cold-start/instance walk are numpy
+array operations.  The kernel runs three passes:
 
 1. **Raw noise draws** — per group, only the raw generator calls run
    (``lognormal``/``standard_normal``/``random``/``normal``/``lognormal``
@@ -22,18 +20,22 @@ earlier invocations kept their workers busy.  The kernel runs three passes:
    and gathered by group id through reusable scratch buffers
    (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`).
 
-3. **Cross-group instance walk** — the single-server-run classification of
-   :func:`~repro.simulation.engine.grouped.walk_group` evaluated once over
-   the flat group-major columns: pair completion/idle arrays, expiry masks
-   and the cold-chain recurrence
-   (:func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, with
-   every group head as an absolute anchor) are computed for *all* groups in
-   one pass; per-group segmented reductions recover cold counts, instance
-   ids and end-pool state.  A vectorized safety test decides per group
-   whether the whole group is one idle single-server run (the sparse-traffic
-   regime); unsafe groups — busy or multi-instance pools, overlapping
-   arrivals, duplicate non-fresh names — fall back to the per-group hybrid
-   ``walk_group``.
+3. **Instance walk** — whether invocation ``i`` cold-starts depends on how
+   long earlier invocations kept their workers busy, so the walk is exact
+   in two parts.  A *flat pass* solves every group as one single-server
+   cold chain over the flat group-major columns
+   (:func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, every
+   group head an absolute anchor) and re-tests each pair with the
+   sequential walk's own busy-until expression; a group whose pool starts
+   empty or as one idle worker and whose arrivals never find that worker
+   busy is exact as it stands (the sparse-traffic regime).  Every other
+   group — real overlap, busy or multi-instance pools — runs through one
+   *lockstep walk* (:func:`_lockstep_walk`) that steps all of them arrival
+   by arrival through ``(groups, slots)`` pool arrays.  Instance ids are
+   assigned afterwards, group-major, exactly as the sequential walk numbers
+   them.  A group whose non-fresh name an earlier group of the batch
+   already ran starts a new segment, walked after the earlier ones, so it
+   sees the pool they leave.
 
 Every group draws its noise from its own request stream, so a mega-batch is
 bit-identical to running its groups one kernel call at a time (the looped
@@ -59,30 +61,10 @@ from repro.simulation.engine.grouped import (
     _worker_instance_cls,
     solve_cold_recurrence,
     validate_group_timestamps,
-    walk_group,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simulation.platform import ServerlessPlatform
-
-
-def _classify_pairs(t, exec_ms, init_worst, gid, keep_alive):
-    """Classify every adjacent arrival pair of the flat group-major columns.
-
-    For each pair ``(k, k+1)``: whether a *warm* (respectively *cold*)
-    invocation at ``k`` leaves the worker expired at ``k+1``, whether ``k+1``
-    could reach a still-busy worker even after a worst-case cold start at
-    ``k`` (the unsafe-overlap test of ``walk_group``), and whether the pair
-    lies inside one group.  Same float expressions as ``walk_group``, so the
-    masks are bit-identical to its per-group arrays.
-    """
-    completion = t + (exec_ms + init_worst) / 1000.0
-    warm_base = t + exec_ms / 1000.0
-    warm_expired = (t[1:] - warm_base[:-1]) > keep_alive
-    cold_expired = (t[1:] - completion[:-1]) > keep_alive
-    unsafe = t[1:] < completion[:-1]
-    internal = gid[1:] == gid[:-1]
-    return warm_expired, cold_expired, unsafe, internal
 
 
 @register_backend
@@ -184,14 +166,11 @@ class VectorizedBackend(ExecutionBackend):
         key_blocks: list[list] = []  # per key: [(group, z-draws), ...]
         group_fixed_l: list[float] = []
 
-        # Per-group pool scan for the cross-group walk: the walk kernel only
-        # handles groups whose pool is empty or one idle instance; everything
-        # else (and duplicate non-fresh names, whose pool state depends on
-        # earlier groups in this very batch) falls back to walk_group.
-        instances_map = platform._instances
-        pool_rows: list[tuple] = []  # (empty, single?, busy, last, id, forced)
-        singles: list = []
-        seen_names: set[str] = set()
+        # A group whose non-fresh name an earlier group of the batch already
+        # ran starts from the pool that group leaves: the walk splits the
+        # batch before it and walks the segments one after another.
+        splits: list[int] = []
+        seen: set[str] = set()
 
         for g, request in enumerate(requests):
             arrivals = request.arrivals
@@ -231,27 +210,10 @@ class VectorizedBackend(ExecutionBackend):
             if draw_cold:
                 cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
 
-            fresh = request.fresh_pool
-            pool = () if fresh else instances_map.get(name, ())
-            if len(pool) == 1:
-                single = pool[0]
-                pool_rows.append(
-                    (
-                        False,
-                        True,
-                        single.busy_until_s,
-                        single.last_used_s,
-                        single.instance_id,
-                        not fresh and name in seen_names,
-                    )
-                )
-            else:
-                single = None
-                pool_rows.append(
-                    (not pool, False, 0.0, 0.0, 0, not fresh and name in seen_names)
-                )
-            singles.append(single)
-            seen_names.add(name)
+            if not request.fresh_pool and name in seen:
+                splits.append(g)
+                seen = set()
+            seen.add(name)
 
         sizes = np.asarray(sizes_l, dtype=np.int64)
         columns = np.stack(cols_l, axis=1)
@@ -322,6 +284,26 @@ class VectorizedBackend(ExecutionBackend):
         np.add(sg, service_ms, out=sg)
         execution_time_ms = np.add(sg, _HANDLER_OVERHEAD_MS)
 
+        # ---- instance walk ------------------------------------------------
+        # Runs before the metric kernel allocates its columns, so the walk's
+        # temporaries reuse heap the metrics then take over (a lower peak).
+        bounds = [0, *splits, n_groups]
+        walked = [
+            _walk_segment(
+                platform,
+                requests[g0:g1],
+                offsets[g0 : g1 + 1] - offsets[g0],
+                timestamps[offsets[g0] : offsets[g1]],
+                execution_time_ms[offsets[g0] : offsets[g1]],
+                columns[:, g0:g1],
+                None if cold_noise is None else cold_noise[offsets[g0] : offsets[g1]],
+            )
+            for g0, g1 in zip(bounds, bounds[1:])
+        ]
+        cold_start, init_ms, instance_ids = (
+            walked[0] if len(walked) == 1 else map(np.concatenate, zip(*walked))
+        )
+
         metrics = runtime.metrics_batch_grouped(
             RuntimeBatchInputs(*columns[4:]),
             gid,
@@ -332,21 +314,6 @@ class VectorizedBackend(ExecutionBackend):
             total_ms=execution_time_ms,
             jitters=jitters,
             scratch=(self._buffer("metric1", n_total), self._buffer("metric2", n_total)),
-        )
-
-        # ---- cross-group instance walk ------------------------------------
-        cold_start, init_ms, instance_ids = self._walk_all_groups(
-            platform,
-            requests,
-            offsets,
-            sizes,
-            gid,
-            timestamps,
-            execution_time_ms,
-            columns,
-            cold_noise,
-            pool_rows=pool_rows,
-            singles=singles,
         )
 
         billed_ms = platform.pricing_model.billed_duration_batch_ms(execution_time_ms)
@@ -371,200 +338,329 @@ class VectorizedBackend(ExecutionBackend):
         )
         return batch
 
-    def _walk_all_groups(
-        self,
-        platform: "ServerlessPlatform",
-        requests: list[GroupRequest],
-        offsets: np.ndarray,
-        sizes: np.ndarray,
-        gid: np.ndarray,
-        t: np.ndarray,
-        exec_ms: np.ndarray,
-        columns: np.ndarray,
-        cold_noise: np.ndarray | None,
-        pool_rows: list[tuple],
-        singles: list,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One vectorized instance walk over all groups' flat columns.
 
-        Safe groups (empty or idle single-instance pool, no overlapping
-        arrival pairs, name not executed earlier in this batch) are resolved
-        entirely from the flat pair masks; the rest run the per-group hybrid
-        :func:`walk_group`, preserving bit-identity with the looped path.
-        """
-        n_groups = len(requests)
-        n_total = int(offsets[-1])
-        keep_alive = platform.cold_start_model.keep_alive_s
+def _walk_segment(
+    platform: "ServerlessPlatform",
+    requests: list[GroupRequest],
+    offsets: np.ndarray,
+    t: np.ndarray,
+    exec_ms: np.ndarray,
+    columns: np.ndarray,
+    cold_noise: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact instance walk of groups with distinct non-fresh names.
 
-        cold_start = np.zeros(n_total, dtype=bool)
-        init_ms = np.zeros(n_total)
-        instance_ids = np.zeros(n_total, dtype=np.int64)
+    A group whose pool starts empty or as one idle worker and whose
+    arrivals never reach a still-busy worker is one single-server run,
+    resolved in the flat pass.  Every other group runs through
+    :func:`_lockstep_walk`.  Instance ids are assigned afterwards,
+    group-major from ``_next_instance_id``, as the sequential walk assigns
+    them; then each name gets the pool its last group leaves.
+    """
+    n_groups = len(requests)
+    n_total = int(offsets[-1])
+    sizes = np.diff(offsets)
+    sizes_l = sizes.tolist()
+    instances_map = platform._instances
+    writers = {
+        r.function_name: g
+        for g, r in enumerate(requests)
+        if sizes_l[g] or r.fresh_pool
+    }
+    if not n_total:
+        for name in writers:
+            instances_map[name] = []
+        empty = np.zeros(0)
+        return empty.astype(bool), empty, empty.astype(np.int64)
+    keep_alive = platform.cold_start_model.keep_alive_s
+    gid = np.repeat(np.arange(n_groups), sizes)
+    pools = [
+        () if r.fresh_pool else instances_map.get(r.function_name, ())
+        for r in requests
+    ]
+    single = [p[0] if len(p) == 1 else None for p in pools]
+    pool_empty = np.fromiter((not p for p in pools), dtype=bool, count=n_groups)
+    single_busy = np.array([np.inf if s is None else s.busy_until_s for s in single])
+    single_last = np.array([0.0 if s is None else s.last_used_s for s in single])
+    single_id = np.array(
+        [0 if s is None else s.instance_id for s in single], dtype=np.int64
+    )
 
-        pool_cols = tuple(zip(*pool_rows))
-        pool_empty = np.asarray(pool_cols[0], dtype=bool)
-        pool_single = np.asarray(pool_cols[1], dtype=bool)
-        single_busy = np.asarray(pool_cols[2])
-        single_last = np.asarray(pool_cols[3])
-        single_ids = list(pool_cols[4])
-        forced_unsafe = np.asarray(pool_cols[5], dtype=bool)
+    nonempty = sizes > 0
+    starts_ne = offsets[:-1][nonempty]
+    ends_ne = offsets[1:][nonempty] - 1
+    first_t = np.where(nonempty, t[np.minimum(offsets[:-1], n_total - 1)], 0.0)
+    init_if_cold = np.take(columns[3], gid)
+    if cold_noise is not None:
+        init_if_cold = init_if_cold * cold_noise
 
-        nonempty = sizes > 0
-        starts_ne = offsets[:-1][nonempty]
-        ends_ne = offsets[1:][nonempty] - 1
-        if n_total:
-            first_t = np.where(
-                nonempty, t[np.minimum(offsets[:-1], n_total - 1)], 0.0
-            )
-            if cold_noise is not None:
-                init_worst = np.take(columns[3], gid) * cold_noise
-            else:
-                init_worst = np.take(columns[3], gid)
-            warm_expired, cold_expired, unsafe_pair, internal = _classify_pairs(
-                t, exec_ms, init_worst, gid, keep_alive
-            )
+    # ---- flat pass: every group as one single-server cold chain ---
+    # Whether arrival k+1 finds the worker expired depends on whether k
+    # was cold (its completion includes the init); where the warm and
+    # cold answers disagree, the closed-form chain solve resolves it.
+    # Group heads are absolute anchors, so nothing leaks across groups.
+    warm_expired = (t[1:] - (t + exec_ms / 1000.0)[:-1]) > keep_alive
+    cold_expired = (t[1:] - (t + (exec_ms + init_if_cold) / 1000.0)[:-1]) > keep_alive
+    internal = gid[1:] == gid[:-1]
+    head_cold = pool_empty | (np.maximum(first_t - single_last, 0.0) > keep_alive)
+    run_cold = np.empty(n_total, dtype=bool)
+    run_cold[1:] = warm_expired
+    run_cold[starts_ne] = head_cold[nonempty]
+    disagree = (warm_expired != cold_expired) & internal
+    if disagree.any():
+        abs_mask = np.empty(n_total, dtype=bool)
+        abs_mask[0] = True
+        abs_mask[1:] = ~disagree
+        abs_mask[starts_ne] = True
+        flip = np.zeros(n_total, dtype=bool)
+        flip[1:] = disagree & warm_expired
+        flip[starts_ne] = False
+        run_cold = solve_cold_recurrence(abs_mask, run_cold, flip)
+    init_out = np.where(run_cold, init_if_cold, 0.0)
+    # Exact re-test with the sequential walk's own busy_until expression:
+    # a group is one single-server run iff no arrival reaches its worker
+    # still busy and the pool starts empty or as one idle worker.
+    completion = t + (exec_ms + init_out) / 1000.0
+    overlap = np.zeros(n_groups, dtype=bool)
+    overlap[gid[1:][internal & (t[1:] < completion[:-1])]] = True
+    idle_start = pool_empty | (single_busy <= first_t)
+    flat = nonempty & idle_start & ~overlap
+    lockstep = nonempty & ~flat
 
-            group_has_unsafe = np.zeros(n_groups, dtype=bool)
-            group_has_unsafe[gid[1:][internal & unsafe_pair]] = True
-            idle_start = pool_empty | (pool_single & (single_busy <= first_t))
-            safe = nonempty & idle_start & ~group_has_unsafe & ~forced_unsafe
-            head_cold = np.where(
-                pool_empty,
-                True,
-                np.maximum(first_t - single_last, 0.0) > keep_alive,
-            )
+    cum = np.cumsum(run_cold)
+    seg = cum - np.take(np.concatenate(([0], cum))[offsets[:-1]], gid)
+    n_cold_g = np.zeros(n_groups, dtype=np.int64)
+    n_cold_g[nonempty] = seg[ends_ne]
+    last_cold_g = np.full(n_groups, -1, dtype=np.int64)
+    last_cold_g[nonempty] = np.maximum.reduceat(
+        np.where(run_cold, np.arange(n_total), -1), starts_ne
+    )
+    last_cold_l = last_cold_g.tolist()
 
-            # Resolve every group's cold chain in one pass: group heads are
-            # absolute anchors, so anchors and flip parity never leak across
-            # group boundaries (see solve_cold_recurrence).
-            disagree = (warm_expired != cold_expired) & internal
-            run_cold = np.empty(n_total, dtype=bool)
-            run_cold[1:] = warm_expired
-            run_cold[starts_ne] = head_cold[nonempty]
-            if disagree.any():
-                abs_mask = np.empty(n_total, dtype=bool)
-                abs_mask[0] = True
-                abs_mask[1:] = ~disagree
-                abs_mask[starts_ne] = True
-                flip = np.zeros(n_total, dtype=bool)
-                flip[1:] = disagree & warm_expired
-                flip[starts_ne] = False
-                run_cold = solve_cold_recurrence(abs_mask, run_cold, flip)
+    # ---- lockstep walk: everything else ---
+    members = np.flatnonzero(lockstep)
+    members = members[np.argsort(-sizes[members], kind="stable")]
+    block = _PoolBlock.load(members.tolist(), pools)
+    slot_src = np.empty(n_total, dtype=np.int64)
+    slot_key = np.empty(n_total, dtype=np.int64)
+    _lockstep_walk(
+        block,
+        members,
+        offsets[:-1][members],
+        sizes[members],
+        t,
+        exec_ms,
+        init_if_cold,
+        keep_alive,
+        platform.config.max_instances_per_function,
+        (run_cold, init_out, slot_src, slot_key),
+    )
+    n_cold_g[members] = block.n_cold
 
-            init_out = np.where(run_cold, init_worst, 0.0)
-            cum = np.cumsum(run_cold)
-            seg_base = np.where(offsets[:-1] > 0, cum[np.maximum(offsets[:-1] - 1, 0)], 0)
-            seg = cum - np.take(seg_base, gid)
+    # ---- instance ids: group-major from the platform's counter ---
+    next_id = platform._next_instance_id
+    base = next_id + np.cumsum(n_cold_g) - n_cold_g
+    instance_ids = np.where(seg > 0, np.take(base, gid) + seg, np.take(single_id, gid))
+    lock_pos = np.take(lockstep, gid)
+    src, key = slot_src[lock_pos], slot_key[lock_pos]
+    instance_ids[lock_pos] = np.where(src >= 0, base[src] + key, key)
+    platform._next_instance_id = next_id + int(n_cold_g.sum())
 
-            idx = np.arange(n_total)
-            pos_cold = np.where(run_cold, idx, -1)
-            first_pos = np.where(run_cold, idx, n_total)
-            n_cold_g = np.zeros(n_groups, dtype=np.int64)
-            last_cold_g = np.full(n_groups, -1, dtype=np.int64)
-            first_cold_g = np.full(n_groups, n_total, dtype=np.int64)
-            busy_g = np.zeros(n_groups)
-            created_g = np.zeros(n_groups)
-            if starts_ne.shape[0]:
-                n_cold_g[nonempty] = seg[ends_ne]
-                last_cold_g[nonempty] = np.maximum.reduceat(pos_cold, starts_ne)
-                first_cold_g[nonempty] = np.minimum.reduceat(first_pos, starts_ne)
-                # End-pool busy time: same float expression as walk_group's
-                # final busy_until update, vectorized over group tails.
-                busy_g[nonempty] = (
-                    t[ends_ne] + (exec_ms[ends_ne] + init_out[ends_ne]) / 1000.0
+    # ---- write the pools back: each name gets its last writer's pool ---
+    worker_cls = _worker_instance_cls()
+    mem_l = columns[4].tolist()
+    off_l = offsets.tolist()
+    flat_l = flat.tolist()
+    lock_l = lockstep.tolist()
+    n_cold_l = n_cold_g.tolist()
+    base_l = base.tolist()
+    busy_l = completion[offsets[1:] - 1].tolist()
+    created_l = t[np.maximum(last_cold_g, 0)].tolist()
+    row_of = dict(zip(members.tolist(), range(members.shape[0])))
+    lock_rows, lock_names = [], []
+    for name, g in writers.items():
+        if flat_l[g]:
+            if n_cold_l[g]:
+                instance = worker_cls(
+                    instance_id=base_l[g] + n_cold_l[g],
+                    memory_mb=mem_l[g],
+                    created_at_s=created_l[g],
+                    invocations=off_l[g + 1] - last_cold_l[g],
                 )
-                created_g[nonempty] = t[np.maximum(last_cold_g[nonempty], 0)]
-            cold_start = run_cold
-            init_ms = init_out
-        else:
-            safe = np.zeros(n_groups, dtype=bool)
-            seg = np.zeros(0, dtype=np.int64)
-            n_cold_g = last_cold_g = first_cold_g = np.zeros(n_groups, dtype=np.int64)
-            busy_g = created_g = np.zeros(n_groups)
-
-        # ---- sequential per-group bookkeeping (id order, pools, fallback) -
-        worker_cls = _worker_instance_cls()
-        instances_map = platform._instances
-        off_l = offsets.tolist()
-        safe_l = safe.tolist()
-        n_cold_l = n_cold_g.tolist()
-        last_cold_l = last_cold_g.tolist()
-        first_cold_l = first_cold_g.tolist()
-        busy_l = busy_g.tolist()
-        created_l = created_g.tolist()
-        mem_l = columns[4].tolist()
-        next_id = platform._next_instance_id
-        # All-safe fast path (the sparse-fleet steady state): instance ids
-        # are the global running cold count — group g's block starts after
-        # all earlier groups' cold starts, exactly the sequential id order —
-        # so one vectorized select replaces the per-group id writes and the
-        # remaining loop only touches pool objects.
-        all_safe = n_total > 0 and bool(np.all(safe))
-        if all_safe and not any(r.fresh_pool for r in requests):
-            instance_ids = np.where(
-                seg > 0,
-                next_id + cum,
-                np.take(np.asarray(single_ids, dtype=np.int64), gid),
-            )
-            cum_end_l = cum[ends_ne].tolist()
-            for g, request in enumerate(requests):
-                if n_cold_l[g]:
-                    instance = worker_cls(
-                        instance_id=next_id + cum_end_l[g],
-                        memory_mb=mem_l[g],
-                        created_at_s=created_l[g],
-                        invocations=(off_l[g + 1] - 1) - last_cold_l[g] + 1,
-                    )
-                else:
-                    instance = singles[g]
-                    instance.invocations += off_l[g + 1] - off_l[g]
-                instance.busy_until_s = busy_l[g]
-                instance.last_used_s = busy_l[g]
-                instances_map[request.deployment.name] = [instance]
-            platform._next_instance_id = next_id + int(cum[-1])
-            return cold_start, init_ms, instance_ids
-        for g, request in enumerate(requests):
-            a = off_l[g]
-            b = off_l[g + 1]
-            name = request.deployment.name
-            if request.fresh_pool:
-                instances_map[name] = []
-            if a == b:
-                continue
-            if safe_l[g]:
-                n_cold = n_cold_l[g]
-                if n_cold:
-                    instance_ids[a:b] = next_id + seg[a:b]
-                    if first_cold_l[g] > a:  # warm head served by the old single
-                        instance_ids[a : first_cold_l[g]] = single_ids[g]
-                    next_id += n_cold
-                    last_cold = last_cold_l[g]
-                    instance = worker_cls(
-                        instance_id=int(next_id),
-                        memory_mb=mem_l[g],
-                        created_at_s=created_l[g],
-                        invocations=(b - 1) - last_cold + 1,
-                    )
-                else:
-                    instance = singles[g]
-                    instance.invocations += b - a
-                    instance_ids[a:b] = instance.instance_id
-                instance.busy_until_s = busy_l[g]
-                instance.last_used_s = busy_l[g]
-                instances_map[name][:] = [instance]
             else:
-                platform._next_instance_id = next_id
-                cold_g, init_g, ids_g = walk_group(
-                    platform,
-                    name,
-                    mem_l[g],
-                    request.arrivals,
-                    exec_ms[a:b],
-                    float(columns[3, g]),
-                    cold_noise[a:b] if cold_noise is not None else None,
+                instance = single[g]
+                instance.invocations += off_l[g + 1] - off_l[g]
+            instance.busy_until_s = busy_l[g]
+            instance.last_used_s = busy_l[g]
+            instances_map[name] = [instance]
+        elif lock_l[g]:
+            lock_rows.append(row_of[g])
+            lock_names.append(name)
+        else:  # a fresh group without arrivals
+            instances_map[name] = []
+    block.write_back(lock_rows, lock_names, base, mem_l, worker_cls, instances_map)
+    return run_cold, init_out, instance_ids
+
+
+class _PoolBlock:
+    """Warm pools of many groups as ``(rows, slots)`` arrays.
+
+    Slots hold workers in creation order, so a first-idle scan over a row
+    is the platform's scan over its pool list.  A worker is identified by
+    ``(src, key)``: ``src`` is the group that cold-started it and ``key``
+    its cold rank there, or ``src = -1`` and ``key`` its instance id when
+    it was in the pool before the batch (``orig`` then indexes
+    :attr:`objects`, so the written-back pool reuses the object).
+    """
+
+    #: Per-slot columns: busy-until, last-used and creation times, served
+    #: invocations, worker identity, original object, and liveness.
+    _COLUMNS = {
+        "busy": float, "last": float, "created": float, "inv": np.int64,
+        "src": np.int64, "key": np.int64, "orig": np.int64, "alive": bool,
+    }
+
+    def __init__(self, rows: int, width: int) -> None:
+        for column, dtype in self._COLUMNS.items():
+            setattr(self, column, np.zeros((rows, width), dtype=dtype))
+        self.used = np.zeros(rows, dtype=np.int64)
+        self.n_cold = np.zeros(rows, dtype=np.int64)
+        self.objects: list = []
+
+    @classmethod
+    def load(cls, members: list[int], pools: list) -> "_PoolBlock":
+        """Start pools of ``members``: the platform's pool lists, in order."""
+        lens = [len(pools[g]) for g in members]
+        block = cls(len(members), 2 * max(max(lens, default=0), 2))
+        rows, slots, objects = [], [], block.objects
+        for row, g in enumerate(members):
+            for slot, instance in enumerate(pools[g]):
+                rows.append(row)
+                slots.append(slot)
+                objects.append(instance)
+        if objects:
+            index = (np.asarray(rows), np.asarray(slots))
+            block.busy[index] = [o.busy_until_s for o in objects]
+            block.last[index] = [o.last_used_s for o in objects]
+            block.created[index] = [o.created_at_s for o in objects]
+            block.inv[index] = [o.invocations for o in objects]
+            block.src[index] = -1
+            block.key[index] = [o.instance_id for o in objects]
+            block.orig[index] = np.arange(len(objects))
+            block.alive[index] = True
+        block.used[:] = lens
+        return block
+
+    def pack(self) -> None:
+        """Left-pack live slots, keeping creation order; double a full axis."""
+        order = np.argsort(~self.alive, axis=1, kind="stable")
+        for column in self._COLUMNS:
+            setattr(self, column, np.take_along_axis(getattr(self, column), order, axis=1))
+        self.used = self.alive.sum(axis=1)
+        width = self.alive.shape[1]
+        if self.used.max(initial=0) >= width:
+            for column in self._COLUMNS:
+                array = getattr(self, column)
+                setattr(self, column, np.concatenate([array, np.zeros_like(array)], axis=1))
+
+    def write_back(self, rows, names, base, mem_l, worker_cls, instances_map) -> None:
+        """Write packed ``rows`` back as the pool lists of ``names`` (ids resolved)."""
+        pools = [[] for _ in rows]
+        instances_map.update(zip(names, pools))
+        rows = np.asarray(rows, dtype=np.int64)
+        which, slots = np.nonzero(self.alive[rows])
+        index = (rows[which], slots)
+        src = self.src[index]
+        ids = np.where(src >= 0, base[src] + self.key[index], self.key[index])
+        for i, busy, last, created, inv, orig, source, instance_id in zip(
+            which.tolist(),
+            self.busy[index].tolist(),
+            self.last[index].tolist(),
+            self.created[index].tolist(),
+            self.inv[index].tolist(),
+            self.orig[index].tolist(),
+            src.tolist(),
+            ids.tolist(),
+        ):
+            if orig >= 0:
+                instance = self.objects[orig]
+                instance.invocations = inv
+            else:
+                instance = worker_cls(
+                    instance_id=instance_id,
+                    memory_mb=mem_l[source],
+                    created_at_s=created,
+                    invocations=inv,
                 )
-                next_id = platform._next_instance_id
-                cold_start[a:b] = cold_g
-                init_ms[a:b] = init_g
-                instance_ids[a:b] = ids_g
-        platform._next_instance_id = next_id
-        return cold_start, init_ms, instance_ids
+            instance.busy_until_s = busy
+            instance.last_used_s = last
+            pools[i].append(instance)
+
+
+def _lockstep_walk(
+    block: _PoolBlock,
+    members: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    t: np.ndarray,
+    exec_ms: np.ndarray,
+    init_if_cold: np.ndarray,
+    keep_alive: float,
+    max_instances: int,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Walk many groups' arrivals through their pools, one arrival index at a time.
+
+    Rows are sorted longest first, so the groups still walking at step
+    ``k`` are a prefix.  Each step is ``ServerlessPlatform._acquire_instance``
+    for every active group at once: reclaim idle workers past the
+    keep-alive (strictly), serve on the first idle worker, at the
+    concurrency limit queue on the first earliest-free worker, otherwise
+    cold-start a new slot.  The busy_until update is the sequential walk's
+    float expression, so the result is bit-identical to it.  Writes the
+    cold flags, init durations and serving worker ``(src, key)`` into
+    ``out`` at the flat positions and leaves ``block`` packed.
+    """
+    cold_out, init_out, src_out, key_out = out
+    active = np.searchsorted(-lens, -np.arange(int(lens.max(initial=0))))
+    for k, m in enumerate(active.tolist()):
+        if block.used[:m].max() >= block.alive.shape[1]:
+            block.pack()
+        busy, alive = block.busy[:m], block.alive[:m]
+        pos = starts[:m] + k
+        tk = t[pos]
+        tcol = tk[:, None]
+        free = busy <= tcol
+        alive &= ~(free & (np.maximum(tcol - block.last[:m], 0.0) > keep_alive))
+        idle = alive & free
+        slot = idle.argmax(axis=1)
+        cold = ~idle[np.arange(m), slot]
+        if cold.any():
+            full = cold & (alive.sum(axis=1) >= max_instances)
+            if full.any():
+                rows = np.flatnonzero(full)
+                slot[rows] = np.where(alive[rows], busy[rows], np.inf).argmin(axis=1)
+                cold &= ~full
+            rows = np.flatnonzero(cold)
+            new = block.used[rows]
+            slot[rows] = new
+            block.used[rows] = new + 1
+            block.n_cold[rows] += 1
+            block.alive[rows, new] = True
+            block.busy[rows, new] = 0.0
+            block.created[rows, new] = tk[rows]
+            block.inv[rows, new] = 0
+            block.src[rows, new] = members[rows]
+            block.key[rows, new] = block.n_cold[rows]
+            block.orig[rows, new] = -1
+        index = (np.arange(m), slot)
+        init = np.where(cold, init_if_cold[pos], 0.0)
+        done = np.maximum(tk, busy[index]) + (exec_ms[pos] + init) / 1000.0
+        busy[index] = done
+        block.last[index] = done
+        block.inv[index] += 1
+        cold_out[pos] = cold
+        init_out[pos] = init
+        src_out[pos] = block.src[index]
+        key_out[pos] = block.key[index]
+    block.pack()

@@ -40,6 +40,7 @@ the window's *candidates*, not with fleet size.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -155,9 +156,9 @@ class TrafficModel(abc.ABC):
         :meth:`FleetTrafficSchedule.sample_window` then evaluate ONE
         :meth:`batch_rate` call per model *class* instead of one Python
         :meth:`rate` call per model.  Returning ``None`` (the default) opts
-        out of batching — the per-model :meth:`rate` fallback is used
-        (:class:`BurstyTraffic` needs its per-interval placement loop;
-        :class:`TraceTraffic` replay never evaluates a rate).
+        out of batching — the per-model :meth:`rate` fallback is used; every
+        built-in thinned model has a kernel, so only third-party classes
+        take it (:class:`TraceTraffic` replay never evaluates a rate).
         """
         return None
 
@@ -364,12 +365,9 @@ class BurstyTraffic(TrafficModel):
             raise ConfigurationError("burst_rate_rps must exceed base_rate_rps")
         if self.burst_duration_s >= self.burst_every_s:
             raise ConfigurationError("burst_duration_s must be shorter than burst_every_s")
-
-    def _burst_start(self, interval: int) -> float:
-        """Deterministic burst start offset within one interval."""
-        slack = self.burst_every_s - self.burst_duration_s
-        rng = np.random.default_rng([int(self.burst_seed), int(interval)])
-        return float(rng.uniform(0.0, slack))
+        # The batched kernel carries the seed in a float64 parameter row.
+        if not (isinstance(self.burst_seed, (int, np.integer)) and 0 <= self.burst_seed < 2**53):
+            raise ConfigurationError("burst_seed must be an integer in [0, 2**53)")
 
     def rate(self, times_s: np.ndarray) -> np.ndarray:
         """Evaluate the base/burst rate at each timestamp."""
@@ -377,8 +375,9 @@ class BurstyTraffic(TrafficModel):
         intervals = np.floor_divide(times, self.burst_every_s).astype(int)
         offsets = times - intervals * self.burst_every_s
         rates = np.full(times.shape, self.base_rate_rps)
+        slack = self.burst_every_s - self.burst_duration_s
         for interval in np.unique(intervals):
-            start = self._burst_start(int(interval))
+            start = _burst_start(self.burst_seed, interval, slack)
             in_burst = (
                 (intervals == interval)
                 & (offsets >= start)
@@ -391,6 +390,52 @@ class BurstyTraffic(TrafficModel):
     def peak_rate(self) -> float:
         """The burst rate bounds the process."""
         return float(self.burst_rate_rps)
+
+    def batch_params(self) -> tuple[float, ...]:
+        """(base, burst, every, duration, seed) rows of the batched kernel."""
+        return (
+            float(self.base_rate_rps),
+            float(self.burst_rate_rps),
+            float(self.burst_every_s),
+            float(self.burst_duration_s),
+            float(self.burst_seed),
+        )
+
+    @staticmethod
+    def batch_rate(params: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+        """Burst kernel: one placement draw per distinct (model, interval).
+
+        Equal (model, interval) keys come in runs — candidates are grouped
+        by function and sorted in time, matrix rows are one model each — so
+        :func:`_burst_start` runs once per run, and its cache makes that once
+        per distinct key.
+        """
+        *columns, times = np.broadcast_arrays(*params, times_s)
+        base, burst, every, duration, seed = columns
+        intervals = np.floor_divide(times, every).astype(int)
+        offsets = times - intervals * every
+        keys = (seed.ravel(), every.ravel(), duration.ravel(), intervals.ravel())
+        same = np.ones(max(times.size - 1, 0), dtype=bool)
+        for key in keys:
+            same &= key[1:] == key[:-1]
+        heads = np.flatnonzero(np.concatenate(([times.size > 0], ~same)))
+        run_starts = [
+            _burst_start(seed_k, interval, every_k - duration_k)
+            for seed_k, every_k, duration_k, interval in zip(
+                *(key[heads].tolist() for key in keys)
+            )
+        ]
+        start = np.repeat(run_starts, np.diff(np.append(heads, times.size)))
+        start = start.reshape(times.shape)
+        in_burst = (offsets >= start) & (offsets < start + duration)
+        return np.where(in_burst, burst, base)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _burst_start(seed: float, interval: float, slack: float) -> float:
+    """Deterministic burst start offset within one burst interval (cached)."""
+    rng = np.random.default_rng([int(seed), int(interval)])
+    return float(rng.uniform(0.0, slack))
 
 
 @dataclass(frozen=True)
@@ -763,6 +808,16 @@ _BATCH_EXTRACT: dict[type, tuple] = {
             "start_rate_rps", "end_rate_rps", "ramp_start_s", "ramp_duration_s"
         ),
         lambda columns: np.maximum(columns[0], columns[1]),
+    ),
+    BurstyTraffic: (
+        attrgetter(
+            "base_rate_rps",
+            "burst_rate_rps",
+            "burst_every_s",
+            "burst_duration_s",
+            "burst_seed",
+        ),
+        lambda columns: columns[1],
     ),
 }
 

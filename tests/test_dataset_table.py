@@ -175,6 +175,27 @@ class TestObjectViewParity:
             check_metadata=False,
         )
 
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_measure_chunk_matches_measure_function(
+        self, backend, cpu_function, service_function
+    ):
+        config = HarnessConfig(
+            memory_sizes_mb=(128, 512), max_invocations_per_size=8, seed=5, backend=backend
+        )
+        looped = MeasurementHarness(config=config)
+        one_by_one = [looped.measure_function(f) for f in (cpu_function, service_function)]
+        fused = MeasurementHarness(config=config).measure_chunk(
+            [cpu_function, service_function]
+        )
+        for a, b in zip(fused, one_by_one):
+            assert (a.function_name, a.application, a.segments) == (
+                b.function_name, b.application, b.segments
+            )
+            assert sorted(a.summaries) == sorted(b.summaries)
+            for size in a.summaries:
+                assert a.summary_at(size).as_flat_dict() == b.summary_at(size).as_flat_dict()
+                assert a.summary_at(size).n_invocations == b.summary_at(size).n_invocations
+
     def test_missing_sizes_become_unmeasured_cells(self, harness, cpu_function, service_function):
         partial = harness.measure_function(cpu_function, memory_sizes_mb=(128,))
         full = harness.measure_function(service_function, memory_sizes_mb=(128, 512))

@@ -127,7 +127,7 @@ class TestGroupedEdgeParity:
                 platform, funcs[0].name, np.array([]),
                 child_rng(seed, STREAM_EXECUTION, 0, 0),
             ),
-            # dense overlapping arrivals: unsafe, falls back to walk_group
+            # dense overlapping arrivals: the lockstep walk
             GroupRequest.for_deployed(
                 platform, funcs[1].name,
                 np.sort(np.random.default_rng(1).uniform(0.0, 2.0, 40)),
@@ -253,8 +253,7 @@ class TestKernelWalkEqualsScalarWalk:
         n_cold = 0
         for b in range(32):
             # The last function only sees idle runs, so its pool stays one
-            # instance and the kernel resolves it without the walk_group
-            # fallback.
+            # instance and the kernel resolves it in the flat pass.
             f = funcs[3] if b % 4 == 3 else funcs[int(rs.integers(3))]
             if b == 16:
                 for platform in (kernel, scalar):
@@ -285,6 +284,222 @@ class TestKernelWalkEqualsScalarWalk:
             np.testing.assert_array_equal(result.instance_ids, ids)
             n_cold += int(cold.sum())
         assert 0 < n_cold
+        assert kernel._next_instance_id == scalar._next_instance_id
+        assert TestGroupedEdgeParity._pools(kernel, funcs) == TestGroupedEdgeParity._pools(
+            scalar, funcs
+        )
+
+
+    @staticmethod
+    def _replay(scalar, requests, batch):
+        """Replay a kernel call group by group through ``walk_instances``."""
+        for g, request in enumerate(requests):
+            name, memory_mb = request.function_name, request.memory_mb
+            if request.fresh_pool:
+                scalar._instances[name] = []
+            a, b = int(batch.offsets[g]), int(batch.offsets[g + 1])
+            profile = request.deployment.profile
+            init_ms = scalar.cold_start_model.duration_ms(
+                memory_mb,
+                profile.code_size_kb,
+                scalar.execution_model.scaling.cpu_share(memory_mb),
+            )
+            cold, init, ids = grouped_mod.walk_instances(
+                scalar, name, memory_mb, request.arrivals,
+                batch.execution_time_ms[a:b], init_ms, None,
+            )
+            np.testing.assert_array_equal(batch.cold_start[a:b], cold)
+            np.testing.assert_array_equal(batch.init_duration_ms[a:b], init)
+            np.testing.assert_array_equal(batch.instance_ids[a:b], ids)
+
+    @pytest.mark.parametrize("max_instances", [2, 3, 1000])
+    def test_mixed_calls_match_scalar_walk(self, max_instances, monkeypatch):
+        """Flat, lockstep, repeated and fresh groups in one call; pools carry over.
+
+        Every call mixes sparse idle runs (flat pass), heavy overlap (the
+        lockstep walk; at a low instance limit it queues), a second and
+        third occurrence of a non-fresh name (each starts a new segment of
+        the walk), a fresh duplicate and an empty group.  Calls follow each
+        other closely, so multi-instance pools, some still busy, carry into
+        the next call.
+        """
+        from repro.simulation.engine import vectorized as vectorized_mod
+
+        walked = []
+        walk = vectorized_mod._lockstep_walk
+
+        def spy(block, members, *args):
+            walked.append(len(members))
+            return walk(block, members, *args)
+
+        monkeypatch.setattr(vectorized_mod, "_lockstep_walk", spy)
+
+        def make_platform():
+            return ServerlessPlatform(
+                config=PlatformConfig(seed=5, max_instances_per_function=max_instances),
+                cold_start_model=ColdStartModel(keep_alive_s=4.0, noise_cv=0.0),
+            )
+
+        kernel, scalar = make_platform(), make_platform()
+        funcs = _functions(6, seed=23, prefix="mix")
+        for platform in (kernel, scalar):
+            for f in funcs:
+                platform.deploy(f.name, f.profile, 256)
+        backend = VectorizedBackend()
+        rs = np.random.default_rng(11)
+        max_pool = n_groups = 0
+        streams = iter(range(10**6))
+
+        def req(f, arrivals, fresh=False):
+            request = GroupRequest.for_deployed(
+                kernel, f.name, arrivals, np.random.default_rng(next(streams))
+            )
+            return replace(request, fresh_pool=fresh)
+
+        for call in range(12):
+            start = 6.0 * call
+
+            def burst(lo, hi, n_lo, n_hi):
+                n = int(rs.integers(n_lo, n_hi))
+                return np.sort(rs.uniform(start + lo, start + hi, n))
+
+            requests = [
+                req(funcs[0], burst(0.0, 0.5, 20, 60)),
+                req(funcs[1], start + 30.0 * np.arange(int(rs.integers(1, 6)))),
+                req(funcs[0], burst(0.5, 1.5, 1, 30)),
+                req(funcs[2], np.array([])),
+                req(funcs[3], burst(0.0, 2.0, 5, 40)),
+                req(funcs[0], burst(1.5, 5.0, 0, 20)),
+                req(funcs[3], burst(0.0, 0.2, 2, 9), True),
+                req(funcs[4], start + np.cumsum(rs.exponential(0.3, int(rs.integers(1, 40))))),
+                # a flat-eligible idle run repeating an earlier one
+                req(funcs[1], start + 4.0 + 30.0 * np.arange(int(rs.integers(1, 3)))),
+                req(funcs[5], start + 30.0 * np.arange(int(rs.integers(1, 6)))),
+            ]
+            batch = backend.run_grouped(kernel, requests)
+            self._replay(scalar, requests, batch)
+            assert kernel._next_instance_id == scalar._next_instance_id
+            pools = TestGroupedEdgeParity._pools(kernel, funcs)
+            assert pools == TestGroupedEdgeParity._pools(scalar, funcs)
+            max_pool = max(max_pool, *(len(p) for p in pools.values()))
+            n_groups += sum(r.arrivals.shape[0] > 0 for r in requests)
+        # Both walks ran (every call has several segments), and pools
+        # reached but never exceeded the limit.
+        assert len(walked) >= 2 * 12
+        assert sum(walked) < n_groups
+        assert 2 <= max_pool <= max_instances
+        if max_instances < 1000:
+            assert max_pool == max_instances
+
+    def test_boundary_arrivals_match_scalar_walk(self):
+        """Arrivals placed exactly on (or just inside) the walk's boundaries.
+
+        Noise-free execution times are fixed per function, so arrivals can
+        land exactly when a worker frees up, exactly one keep-alive after a
+        worker's last use, half a millisecond before a worker frees up, and
+        just before a carried-over worker's busy time.  Every comparison
+        of the walk is decided at its boundary here.
+        """
+        keep_alive = 2.0  # a power of two: (b + 2.0) - b == 2.0 exactly
+
+        def make_platform():
+            platform = ServerlessPlatform.noise_free(seed=1)
+            platform.cold_start_model = ColdStartModel(keep_alive_s=keep_alive, noise_cv=0.0)
+            return platform
+
+        kernel, scalar = make_platform(), make_platform()
+        # Managed-service latencies stay random without noise: no service calls.
+        funcs = [f for f in _functions(40, seed=31, prefix="edge") if not f.profile.service_calls]
+        funcs = funcs[:3]
+        for platform in (kernel, scalar):
+            for f in funcs:
+                platform.deploy(f.name, f.profile, 512)
+        backend = VectorizedBackend()
+        probe = make_platform()
+        exec_s, init_s = [], []
+        for f in funcs:
+            probe.deploy(f.name, f.profile, 512)
+            exec_ms = probe.invoke_batch(f.name, [1.0], backend=backend).execution_time_ms[0]
+            init_ms = probe.cold_start_model.duration_ms(
+                512.0, f.profile.code_size_kb, probe.execution_model.scaling.cpu_share(512.0)
+            )
+            exec_s.append(exec_ms)
+            init_s.append(init_ms)
+
+        def call(groups):
+            requests = [
+                replace(
+                    GroupRequest.for_deployed(
+                        kernel, funcs[i].name, np.asarray(arrivals), np.random.default_rng(i)
+                    ),
+                    fresh_pool=fresh,
+                )
+                for i, arrivals, fresh in groups
+            ]
+            batch = backend.run_grouped(kernel, requests)
+            np.testing.assert_array_equal(
+                batch.execution_time_ms, np.repeat(
+                    [exec_s[i] for i, _, _ in groups], np.diff(batch.offsets)
+                ),
+            )
+            self._replay(scalar, requests, batch)
+            assert kernel._next_instance_id == scalar._next_instance_id
+            assert TestGroupedEdgeParity._pools(kernel, funcs) == TestGroupedEdgeParity._pools(
+                scalar, funcs
+            )
+            return batch
+
+        s0 = 10.0
+        b0 = s0 + (exec_s[0] + init_s[0]) / 1000.0  # worker 1 frees up
+        b2 = b0 + (exec_s[0] + 0.0) / 1000.0  # worker 1 again, after a warm run
+        assert (b2 + keep_alive) - b2 == keep_alive
+        near = s0 + (exec_s[1] + init_s[1]) / 1000.0 - 0.0005
+        first = call(
+            [
+                # overlap, then exactly free, then idle exactly one keep-alive
+                (0, [s0, s0 + 0.0001, b0, b2 + keep_alive], True),
+                # one pair overlapping by half a millisecond
+                (1, [s0, near], True),
+                (2, [s0], True),
+            ]
+        )
+        assert first.cold_start.tolist() == [True, True, False, False, True, True, True]
+        carried = scalar._instances[funcs[2].name][0].busy_until_s
+        multi = scalar._instances[funcs[0].name][0].busy_until_s
+        second = call(
+            [
+                # the carried single worker is still busy for half a millisecond
+                (2, [carried - 0.0005, carried + 30.0], False),
+                # exactly when the carried multi-worker pool's first worker frees up
+                (0, [multi], False),
+            ]
+        )
+        assert second.cold_start.tolist() == [True, True, False]
+
+    def test_queue_at_limit_matches_scalar_walk(self):
+        """Single-group batches far over a limit of two instances queue."""
+        def make_platform():
+            return ServerlessPlatform(
+                config=PlatformConfig(seed=2, max_instances_per_function=2),
+                cold_start_model=ColdStartModel(keep_alive_s=30.0, noise_cv=0.0),
+            )
+
+        kernel, scalar = make_platform(), make_platform()
+        funcs = _functions(2, seed=29, prefix="queue")
+        for platform in (kernel, scalar):
+            for f in funcs:
+                platform.deploy(f.name, f.profile, 128)
+        backend = VectorizedBackend()
+        rs = np.random.default_rng(13)
+        for b in range(10):
+            f = funcs[b % 2]
+            arrivals = np.sort(rs.uniform(10.0 * b, 10.0 * b + 0.3, int(rs.integers(5, 80))))
+            request = GroupRequest.for_deployed(
+                kernel, f.name, arrivals, np.random.default_rng(b)
+            )
+            batch = backend.run_grouped(kernel, [request])
+            self._replay(scalar, [request], batch)
+            assert len(set(batch.instance_ids.tolist())) <= 2
         assert kernel._next_instance_id == scalar._next_instance_id
         assert TestGroupedEdgeParity._pools(kernel, funcs) == TestGroupedEdgeParity._pools(
             scalar, funcs

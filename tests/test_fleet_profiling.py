@@ -3,8 +3,9 @@
 The :class:`~repro.fleet.profiling.WindowPhaseProfiler` is always on — the
 simulator books the window phases (traffic, seeding, group-build, execute,
 reduce) and the rightsizing service completes the breakdown with decide and
-ledger.  These tests pin the snapshot schema ``tools/bench_report.py``
-publishes and verify every phase actually accumulates where it should.
+ledger.  These tests pin the snapshot schema the repo benchmark
+(``e2ebench``) reads its ``fleet.phase.*`` metrics from and verify every
+phase actually accumulates where it should.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from repro.workloads.traffic import (
     FleetTrafficSchedule,
     RampTraffic,
     TraceTraffic,
+    _burst_start,
     fleet_mean_rates,
     fleet_rate_matrix,
     sample_fleet_traffic,
@@ -295,6 +296,89 @@ class TestFleetTrafficSchedule:
         assert np.array_equal(arrivals.active(), [0, 2])
         for i, expected in enumerate(per_function):
             assert np.array_equal(arrivals.arrivals_of(i), expected)
+
+
+class _PerModelBursty(BurstyTraffic):
+    """Bursty traffic without a kernel: the schedule's per-model ``rate`` path."""
+
+    def batch_params(self):
+        return None
+
+
+def _bursty_fleet(seed, n=12):
+    """Bursty models with distinct seeds and geometry, plus one of each kind."""
+    rng = np.random.default_rng(seed)
+    params = [
+        dict(
+            base_rate_rps=float(rng.uniform(0.01, 0.05)),
+            burst_rate_rps=float(rng.uniform(0.2, 0.6)),
+            burst_every_s=float(rng.choice([900.0, 1_800.0, 3_600.0])),
+            burst_duration_s=float(rng.uniform(60.0, 600.0)),
+            burst_seed=int(rng.integers(0, 2**31)),
+        )
+        for _ in range(n)
+    ]
+    others = _one_of_each_model()
+    kernel = [BurstyTraffic(**p) for p in params] + others
+    reference = [_PerModelBursty(**p) for p in params] + others
+    return kernel, reference
+
+
+class TestBurstyKernel:
+    """The bursty class kernel is bit-identical to per-model ``rate``."""
+
+    WINDOWS = [(0.0, 3_600.0), (1_000.0, 4_600.0), (5_000.0, 12_500.0)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sample_window_matches_per_model_rate(self, seed):
+        kernel, reference = _bursty_fleet(seed)
+        fast, slow = FleetTrafficSchedule(kernel), FleetTrafficSchedule(reference)
+        assert not fast._fallback_indices
+        assert len(slow._fallback_indices) == 12
+        np.testing.assert_array_equal(fast.thinning_peaks, slow.thinning_peaks)
+        for w, (start_s, end_s) in enumerate(self.WINDOWS):
+            a = fast.sample_window(start_s, end_s, np.random.default_rng([seed, w]))
+            b = slow.sample_window(start_s, end_s, np.random.default_rng([seed, w]))
+            assert a.total > 0
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            np.testing.assert_array_equal(a.times_s, b.times_s)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fleet_mean_rates_match_per_model_rate(self, seed):
+        kernel, _ = _bursty_fleet(seed)
+        for start_s, end_s in self.WINDOWS:
+            means = fleet_mean_rates(kernel, start_s, end_s)
+            for value, model in zip(means, kernel):
+                assert value == model.mean_rate(start_s, end_s)
+            matrix = fleet_rate_matrix(kernel, start_s, end_s, resolution=97)
+            step = (end_s - start_s) / 97
+            midpoints = start_s + step * (np.arange(97) + 0.5)
+            for row, model in zip(matrix, kernel):
+                assert np.array_equal(row, model.rate(midpoints))
+
+    def test_kernel_handles_empty_and_unsorted_times(self):
+        model = BurstyTraffic(
+            base_rate_rps=0.01, burst_rate_rps=0.3, burst_every_s=600.0,
+            burst_duration_s=200.0, burst_seed=9,
+        )
+        params = np.array(model.batch_params())
+        assert BurstyTraffic.batch_rate(params[:, None], np.empty(0)).shape == (0,)
+        times = np.random.default_rng(4).uniform(0.0, 6_000.0, 500)
+        # Burst edges exactly: the start is in the burst, the end is not.
+        edges = [
+            600.0 * k + _burst_start(9, k, 400.0) + shift
+            for k in range(10)
+            for shift in (0.0, 200.0)
+        ]
+        times = np.concatenate([times, edges])
+        rates = BurstyTraffic.batch_rate(params[:, None], times)
+        assert np.array_equal(rates, model.rate(times))
+        assert set(np.unique(rates)) == {0.01, 0.3}
+
+    def test_seed_must_fit_the_parameter_row(self):
+        for bad in (-1, 2**53, 1.5):
+            with pytest.raises(ConfigurationError):
+                BurstyTraffic(base_rate_rps=0.1, burst_rate_rps=1.0, burst_seed=bad)
 
 
 class TestWorkloadValidation:
