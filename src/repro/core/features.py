@@ -192,21 +192,14 @@ class FeatureExtractor:
         Parameters
         ----------
         table:
-            The columnar measurement table — the in-memory
-            :class:`~repro.dataset.table.MeasurementTable` or the out-of-core
-            :class:`~repro.dataset.sharding.ShardedMeasurementTable`; any
-            object exposing the axis lookups and ``iter_value_blocks``.
+            The columnar :class:`~repro.dataset.table.MeasurementTable`.
         memory_mb:
             Restrict rows to one memory size (one row per function).  When
             ``None``, all (function, size) cells are flattened function-major
             into ``(n_functions * n_sizes, n_features)``.
         function_indices:
-            Optional row subset of axis 0 (keeps the given order).
-
-        The stat arrays are traversed through the table's
-        ``iter_value_blocks`` protocol, so for a sharded table at most one
-        shard's dense array is resident at a time and the only full-size
-        allocation is the returned feature matrix.
+            Optional row subset of axis 0 (keeps the given order); negative or
+            out-of-range rows raise :class:`~repro.errors.DatasetError`.
 
         Every cell that contributes must be measured with a positive mean
         execution time if per-second features are requested (matching the
@@ -214,45 +207,28 @@ class FeatureExtractor:
         beforehand (as :func:`~repro.core.training.build_training_matrices`
         does).
         """
-        size_column = table.size_index(memory_mb) if memory_mb is not None else None
+        values = table.values
         if function_indices is not None:
-            function_indices = np.asarray(function_indices, dtype=int)
-            n_selected = function_indices.shape[0]
-        else:
-            n_selected = table.n_functions
-        sizes_per_function = 1 if memory_mb is not None else table.n_sizes
+            values = values[table.row_indices(function_indices)]
+        if memory_mb is not None:
+            column = table.size_index(memory_mb)
+            values = values[:, column : column + 1]
+        rows = values.reshape(-1, values.shape[2], values.shape[3])
 
         mean_column = _STAT_COLUMN["_mean"]
-        needs_per_second = any(suffix == "_per_second" for (_m, suffix), _n in self._parsed)
-        time_index = table.metric_index("execution_time") if needs_per_second else None
-        columns = [
-            (table.metric_index(metric), suffix) for (metric, suffix), _name in self._parsed
-        ]
-
-        out = np.empty((n_selected * sizes_per_function, self.n_features), dtype=float)
-        row_start = 0
-        for block in table.iter_value_blocks(function_indices):
-            if size_column is not None:
-                block = block[:, size_column : size_column + 1]
-            rows = block.reshape(
-                block.shape[0] * block.shape[1], block.shape[2], block.shape[3]
-            )
-            execution_time_s = None
-            if needs_per_second:
-                execution_time_s = rows[:, time_index, mean_column] / 1000.0
-                if np.any(execution_time_s <= 0):
-                    raise MonitoringError(
-                        "cannot normalise by a non-positive execution time"
-                    )
-            row_stop = row_start + rows.shape[0]
-            for k, (metric_index, suffix) in enumerate(columns):
-                if suffix == "_per_second":
-                    out[row_start:row_stop, k] = (
-                        rows[:, metric_index, mean_column] / execution_time_s
-                    )
-                else:
-                    out[row_start:row_stop, k] = rows[:, metric_index, _STAT_COLUMN[suffix]]
-            row_start = row_stop
+        execution_time_s = None
+        if any(suffix == "_per_second" for (_m, suffix), _n in self._parsed):
+            time_index = table.metric_index("execution_time")
+            execution_time_s = rows[:, time_index, mean_column] / 1000.0
+            if np.any(execution_time_s <= 0):
+                raise MonitoringError("cannot normalise by a non-positive execution time")
+        out = np.empty((rows.shape[0], self.n_features), dtype=float)
+        for k, ((metric, suffix), _name) in enumerate(self._parsed):
+            metric_index = table.metric_index(metric)
+            if suffix == "_per_second":
+                out[:, k] = rows[:, metric_index, mean_column] / execution_time_s
+            else:
+                out[:, k] = rows[:, metric_index, _STAT_COLUMN[suffix]]
         return out
 
     def subset(self, feature_names: list[str] | tuple[str, ...]) -> "FeatureExtractor":

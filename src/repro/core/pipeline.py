@@ -25,7 +25,6 @@ from repro.core.training import train_model
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.dataset.schema import MeasurementDataset
-from repro.dataset.sharding import ShardedMeasurementTable, validate_sharding_options
 from repro.dataset.table import MeasurementTable
 from repro.ml.network import NetworkConfig
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
@@ -66,13 +65,6 @@ class PipelineConfig:
     backend:
         Execution backend for all simulated measurements (offline dataset
         generation and online monitoring): ``"serial"`` or ``"vectorized"``.
-    shard_size:
-        When set, the offline phase generates a sharded out-of-core training
-        table with this many functions per on-disk shard (``None`` keeps the
-        in-memory table); see :mod:`repro.dataset.sharding`.
-    shard_directory:
-        Target directory of the sharded training table (``None`` lets the
-        generator pick a temporary directory).
     """
 
     n_training_functions: int = 200
@@ -86,13 +78,10 @@ class PipelineConfig:
     provider: str = "aws"
     seed: int = 42
     backend: str = "vectorized"
-    shard_size: int | None = None
-    shard_directory: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_training_functions < 5:
             raise ConfigurationError("n_training_functions must be at least 5")
-        validate_sharding_options(self.shard_size, self.shard_directory)
         if not self.base_memory_sizes_mb:
             raise ConfigurationError("base_memory_sizes_mb must not be empty")
         unknown = set(self.base_memory_sizes_mb) - set(self.memory_sizes_mb)
@@ -107,7 +96,7 @@ class SizelessPipeline:
 
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self.config = config if config is not None else PipelineConfig()
-        self.table: MeasurementTable | ShardedMeasurementTable | None = None
+        self.table: MeasurementTable | None = None
         self._dataset: MeasurementDataset | None = None
         self.models: dict[int, SizelessModel] = {}
         self.predictor: SizelessPredictor | None = None
@@ -158,25 +147,22 @@ class SizelessPipeline:
             invocations_per_size=self.config.invocations_per_size,
             seed=self.config.seed,
             backend=self.config.backend,
-            shard_size=self.config.shard_size,
-            shard_directory=self.config.shard_directory,
         )
         generator = TrainingDatasetGenerator(generation_config)
         return self.train(generator.generate_table(progress_callback=progress_callback))
 
     def train(
         self,
-        dataset: MeasurementDataset | MeasurementTable | ShardedMeasurementTable,
+        dataset: MeasurementDataset | MeasurementTable,
     ) -> SizelessPredictor:
         """Train models on existing measurements (skips dataset generation).
 
-        Accepts any representation — in-memory table, sharded out-of-core
-        table, or object-API dataset (columnarized once); every base size
-        trains from the same table.
+        Accepts either representation — the table, or an object-API dataset
+        (columnarized once); every base size trains from the same table.
         """
         if len(dataset) == 0:
             raise ConfigurationError("cannot train on an empty dataset")
-        if isinstance(dataset, (MeasurementTable, ShardedMeasurementTable)):
+        if isinstance(dataset, MeasurementTable):
             self.table = dataset
             self._dataset = None
         else:

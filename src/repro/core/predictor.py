@@ -197,24 +197,24 @@ class SizelessPredictor:
         Parameters
         ----------
         table:
-            A :class:`~repro.dataset.table.MeasurementTable` (or the sharded
-            sibling) measured at least at the base size.
+            A :class:`~repro.dataset.table.MeasurementTable` measured at
+            least at the base size.
         base_memory_mb:
             Base size whose monitoring data feeds the model; may be omitted
             when exactly one model is registered.
         function_indices:
-            Optional row subset of the table's function axis.
+            Optional row subset of the table's function axis; negative or
+            out-of-range rows raise :class:`~repro.errors.DatasetError`.
         """
         base = self._resolve_base_size(base_memory_mb)
         model = self.model_for(base)
         size_column = table.size_index(base)
-        if function_indices is None:
-            selected_names = tuple(table.function_names)
-            counts = np.asarray(table.n_invocations[:, size_column])
-        else:
-            indices = np.asarray(function_indices, dtype=int)
-            selected_names = tuple(table.function_names[i] for i in indices)
-            counts = np.asarray(table.n_invocations[indices, size_column])
+        rows = slice(None)
+        selected_names = tuple(table.function_names)
+        if function_indices is not None:
+            rows = table.row_indices(function_indices)
+            selected_names = tuple(selected_names[i] for i in rows)
+        counts = table.n_invocations[rows, size_column]
         if not selected_names:
             raise ModelError("predict_table needs at least one function row")
         if np.any(counts <= 0):
@@ -227,12 +227,7 @@ class SizelessPredictor:
         )
         time_index = table.metric_index("execution_time")
         mean_column = table.stat_names.index("mean")
-        base_times = np.concatenate(
-            [
-                block[:, size_column, time_index, mean_column]
-                for block in table.iter_value_blocks(function_indices)
-            ]
-        )
+        base_times = table.values[rows, size_column, time_index, mean_column]
         times = model.predict_times_matrix(features, base_times)
         return BatchPrediction(
             function_names=selected_names,

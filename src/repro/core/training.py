@@ -7,15 +7,11 @@ be assembled from either representation of a measurement campaign:
 
 - a columnar :class:`~repro.dataset.table.MeasurementTable` — the fast path,
   pure array indexing and slicing;
-- its out-of-core sibling, the
-  :class:`~repro.dataset.sharding.ShardedMeasurementTable` — same assembly,
-  streamed one shard at a time so the dense stat arrays never fully reside
-  in memory;
 - the object-API :class:`~repro.dataset.schema.MeasurementDataset` — the
   original per-summary extraction loop, kept as the reference path.
 
-All paths produce bit-identical matrices (asserted by the parity tests in
-``tests/test_dataset_table.py`` and ``tests/test_dataset_sharding.py``).
+Both paths produce bit-identical matrices (asserted by the parity tests in
+``tests/test_dataset_table.py``).
 """
 
 from __future__ import annotations
@@ -28,14 +24,9 @@ from repro.errors import DatasetError
 from repro.core.features import FeatureExtractor
 from repro.core.model import SizelessModel, SizelessModelConfig, default_network_config
 from repro.dataset.schema import MeasurementDataset
-from repro.dataset.sharding import ShardedMeasurementTable
 from repro.dataset.table import MeasurementTable
 from repro.ml.network import NetworkConfig
 from repro.ml.validation import RepeatedKFold, cross_validate
-
-#: Either representation of a columnar measurement campaign.
-AnyMeasurementTable = MeasurementTable | ShardedMeasurementTable
-
 
 @dataclass(frozen=True)
 class TrainingMatrices:
@@ -75,7 +66,7 @@ class TrainingMatrices:
 
 
 def build_training_matrices(
-    dataset: MeasurementDataset | AnyMeasurementTable,
+    dataset: MeasurementDataset | MeasurementTable,
     base_memory_mb: int = 256,
     target_memory_sizes_mb: tuple[int, ...] | None = None,
     feature_names: tuple[str, ...] | None = None,
@@ -83,13 +74,12 @@ def build_training_matrices(
     """Build the feature/target matrices for one base memory size.
 
     Accepts a columnar :class:`MeasurementTable` (vectorized assembly by
-    array indexing), a :class:`ShardedMeasurementTable` (same assembly,
-    streamed shard by shard), or an object-API :class:`MeasurementDataset`
+    array indexing) or an object-API :class:`MeasurementDataset`
     (the per-summary reference loop).  Functions missing a measurement at
     the base or any target size are skipped; an empty result raises
     :class:`~repro.errors.DatasetError`.
     """
-    if isinstance(dataset, (MeasurementTable, ShardedMeasurementTable)):
+    if isinstance(dataset, MeasurementTable):
         return _build_matrices_from_table(
             dataset,
             base_memory_mb=base_memory_mb,
@@ -144,7 +134,7 @@ def build_training_matrices(
 
 
 def _build_matrices_from_table(
-    table: AnyMeasurementTable,
+    table: MeasurementTable,
     base_memory_mb: int,
     target_memory_sizes_mb: tuple[int, ...] | None,
     feature_names: tuple[str, ...] | None,
@@ -186,7 +176,7 @@ def _build_matrices_from_table(
 
 
 def cross_validate_base_size(
-    dataset: MeasurementDataset | AnyMeasurementTable,
+    dataset: MeasurementDataset | MeasurementTable,
     base_memory_mb: int,
     network_config: NetworkConfig | None = None,
     n_splits: int = 5,
@@ -228,7 +218,7 @@ def cross_validate_base_size(
 
 
 def train_model(
-    dataset: MeasurementDataset | AnyMeasurementTable,
+    dataset: MeasurementDataset | MeasurementTable,
     base_memory_mb: int = 256,
     network_config: NetworkConfig | None = None,
     feature_names: tuple[str, ...] | None = None,

@@ -7,20 +7,15 @@ the equivalent for the simulated platform:
 - :mod:`repro.dataset.table`      -- the columnar :class:`MeasurementTable`:
   dense ``(n_functions, n_sizes, n_metrics, n_stats)`` stat arrays, the
   canonical dataflow from engine batch columns to training matrices.
-- :mod:`repro.dataset.sharding`   -- the out-of-core sibling:
-  :class:`ShardedMeasurementTable` partitions the function axis into NPZ
-  shards behind the same read surface, bounding peak memory by one shard.
 - :mod:`repro.dataset.schema`     -- the object API: :class:`FunctionMeasurement`
   (one function measured at several sizes) and :class:`MeasurementDataset`
   (a collection); materializable as a view over the table.
 - :mod:`repro.dataset.harness`    -- the measurement harness: deploy, drive
   the open-loop load, discard warm-up, aggregate straight into table rows.
 - :mod:`repro.dataset.generation` -- end-to-end training-dataset generation
-  from the synthetic function generator (in-memory or sharded via
-  ``shard_size=``).
-- :mod:`repro.dataset.io`         -- JSON (optionally gzipped) / CSV / NPZ /
-  sharded-NPZ persistence of datasets and tables (contracts in
-  ``docs/FORMATS.md``).
+  from the synthetic function generator.
+- :mod:`repro.dataset.io`         -- JSON (optionally gzipped) / CSV / NPZ
+  persistence of datasets and tables (contracts in ``docs/FORMATS.md``).
 """
 
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
@@ -30,19 +25,12 @@ from repro.dataset.io import (
     load_dataset_json,
     load_dataset_npz,
     load_table_npz,
-    load_table_sharded,
     save_dataset_csv,
     save_dataset_json,
     save_dataset_npz,
     save_table_npz,
-    save_table_sharded,
 )
 from repro.dataset.schema import FunctionMeasurement, MeasurementDataset
-from repro.dataset.sharding import (
-    ShardedMeasurementTable,
-    ShardedTableWriter,
-    shard_table,
-)
 from repro.dataset.table import MeasurementTable, MeasurementTableBuilder
 
 __all__ = [
@@ -50,9 +38,6 @@ __all__ = [
     "MeasurementDataset",
     "MeasurementTable",
     "MeasurementTableBuilder",
-    "ShardedMeasurementTable",
-    "ShardedTableWriter",
-    "shard_table",
     "MeasurementHarness",
     "HarnessConfig",
     "TrainingDatasetGenerator",
@@ -65,6 +50,4 @@ __all__ = [
     "load_dataset_npz",
     "save_table_npz",
     "load_table_npz",
-    "save_table_sharded",
-    "load_table_sharded",
 ]

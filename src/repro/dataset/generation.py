@@ -6,31 +6,18 @@ measure each at all six memory sizes, and return a
 :class:`~repro.dataset.schema.MeasurementDataset`.  The paper's full scale is
 2 000 functions x 6 sizes x 18 000 invocations; the defaults below produce a
 smaller (but structurally identical) dataset suitable for laptop runs, and
-every knob can be raised to paper scale.
-
-Datasets larger than RAM are generated out of core: pass ``shard_size`` (via
-the config or :meth:`TrainingDatasetGenerator.generate_table`) and the
-harness streams each measured function's stat block into a
-:class:`~repro.dataset.sharding.ShardedTableWriter`, flushing one NPZ shard
-to disk per ``shard_size`` functions.  Peak memory is then bounded by one
-shard regardless of ``n_functions``
-(``benchmarks/test_bench_sharding.py`` asserts this).
+every knob can be raised to paper scale.  Even at paper scale the dense
+table is small (2 000 functions x 6 sizes x 25 metrics x 3 statistics is
+about 7 MB of float64), so it always lives in memory.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.dataset.schema import MeasurementDataset
-from repro.dataset.sharding import (
-    ShardedMeasurementTable,
-    ShardedTableWriter,
-    validate_sharding_options,
-)
 from repro.dataset.table import MeasurementTable
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -62,15 +49,7 @@ class DatasetGenerationConfig:
     backend:
         Execution backend measuring the functions: ``"serial"`` (the original
         scalar path) or ``"vectorized"`` (numpy batches, one fused
-        cross-function mega-batch per chunk/shard).
-    shard_size:
-        When set, generate a sharded out-of-core table with this many
-        functions per on-disk shard instead of one in-memory table
-        (``None``, the default, keeps the in-memory path).
-    shard_directory:
-        Target directory of the sharded table.  ``None`` (the default) lets
-        the generator create a fresh temporary directory; only meaningful
-        together with ``shard_size``.
+        cross-function mega-batch per chunk).
     """
 
     n_functions: int = 200
@@ -82,8 +61,6 @@ class DatasetGenerationConfig:
     seed: int = 42
     generator_config: GeneratorConfig | None = field(default=None)
     backend: str = "vectorized"
-    shard_size: int | None = None
-    shard_directory: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_functions < 1:
@@ -92,7 +69,6 @@ class DatasetGenerationConfig:
             raise ConfigurationError("invocations_per_size must be at least 2")
         if not self.memory_sizes_mb:
             raise ConfigurationError("memory_sizes_mb must not be empty")
-        validate_sharding_options(self.shard_size, self.shard_directory)
 
     def workload(self) -> Workload:
         """The per-experiment workload implied by this configuration."""
@@ -141,21 +117,7 @@ class TrainingDatasetGenerator:
             f"{len(self.config.memory_sizes_mb)} memory sizes"
         )
 
-    def _measure_inmemory_table(self, progress_callback=None) -> MeasurementTable:
-        """Measure the configured dataset straight into an in-memory table."""
-        return self.harness.measure_table(
-            self.function_generator.generate(self.config.n_functions),
-            progress_callback=progress_callback,
-            description=self._description(),
-            metadata=self._metadata(),
-        )
-
-    def generate_table(
-        self,
-        progress_callback=None,
-        shard_size: int | None = None,
-        shard_directory: str | Path | None = None,
-    ) -> MeasurementTable | ShardedMeasurementTable:
+    def generate_table(self, progress_callback=None) -> MeasurementTable:
         """Generate and measure the full dataset as a columnar table.
 
         The array-first path: measurements flow from the engine's batch
@@ -168,56 +130,12 @@ class TrainingDatasetGenerator:
         progress_callback:
             Optional ``callable(index, total, function_name)`` invoked after
             each measured function (used by the examples to print progress).
-        shard_size:
-            Generate a sharded out-of-core table with this many functions
-            per on-disk shard.  Defaults to the config's ``shard_size``
-            (``None`` keeps the in-memory table).
-        shard_directory:
-            Target directory of the sharded table; defaults to the config's
-            ``shard_directory``, falling back to a fresh temporary directory
-            (recorded in the table metadata under ``"shard_directory"``).
-            Re-running generation into the same directory replaces the
-            previous table, like the ``save_*`` helpers overwrite files.
-            The directory — temporary or not — backs the returned table and
-            is owned by the caller; it is never deleted automatically, so
-            remove it when the table is no longer needed.
-
-        Returns
-        -------
-        MeasurementTable or ShardedMeasurementTable
-            The in-memory table, or — when sharding is requested — the
-            sharded table backed by the written directory.  Both carry
-            bit-identical numbers for the same configuration.
         """
-        effective_shard_size = (
-            shard_size if shard_size is not None else self.config.shard_size
-        )
-        validate_sharding_options(effective_shard_size, shard_directory)
-        if effective_shard_size is None:
-            return self._measure_inmemory_table(progress_callback=progress_callback)
-        functions = self.function_generator.generate(self.config.n_functions)
-        directory = (
-            shard_directory
-            if shard_directory is not None
-            else self.config.shard_directory
-        )
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="repro-sharded-table-")
-        metadata = self._metadata()
-        metadata["shard_size"] = int(effective_shard_size)
-        metadata["shard_directory"] = str(directory)
-        # Generating into a configured directory replaces any previous table
-        # there, matching the overwrite semantics of the save_* helpers.
-        writer = ShardedTableWriter(
-            directory,
-            memory_sizes_mb=self.config.memory_sizes_mb,
-            shard_size=effective_shard_size,
-            description=self._description(),
-            metadata=metadata,
-            overwrite=True,
-        )
         return self.harness.measure_table(
-            functions, progress_callback=progress_callback, sink=writer
+            self.function_generator.generate(self.config.n_functions),
+            progress_callback=progress_callback,
+            description=self._description(),
+            metadata=self._metadata(),
         )
 
     def generate(self, progress_callback=None) -> MeasurementDataset:
@@ -226,16 +144,5 @@ class TrainingDatasetGenerator:
         Measures through the columnar table path and materializes the
         :class:`MeasurementDataset` view — same numbers as the table, same
         interface as before the table existed.
-
-        The object API materializes every measurement regardless, so a
-        configured ``shard_size`` is honoured only when a
-        ``shard_directory`` is also configured (the caller wants the on-disk
-        artefact as a side effect); with a temporary directory the sharded
-        intermediate would only leak a dataset-sized copy on disk, and the
-        measurement goes straight to the in-memory table instead.
         """
-        if self.config.shard_size is not None and self.config.shard_directory is None:
-            table = self._measure_inmemory_table(progress_callback=progress_callback)
-        else:
-            table = self.generate_table(progress_callback=progress_callback)
-        return table.to_dataset()
+        return self.generate_table(progress_callback=progress_callback).to_dataset()

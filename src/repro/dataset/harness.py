@@ -27,9 +27,9 @@ records in the platform log, so memory stays bounded during paper-scale runs.
 Every (function, size) experiment owns two private random streams — one for
 its arrival trace, one for its execution noise — spawned from the base seeds
 and the function's absolute index (:mod:`repro.simulation.seeding`).  Chunk
-boundaries, sharded sinks and backends' group schedules therefore never
-change the numbers: a function measured alone, in a list or in a sharded
-table run produces bit-identical statistics.
+boundaries and backends' group schedules therefore never change the
+numbers: a function measured alone, in a list or in a table run produces
+bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from repro.simulation.seeding import STREAM_ARRIVALS, STREAM_EXECUTION, child_rn
 from repro.workloads.function import FunctionSpec
 from repro.workloads.loadgen import LoadGenerator, Workload
 
-#: Functions per grouped engine call when no sharded sink dictates a shard
-#: size; bounds peak memory at one chunk's metric columns.
+#: Functions per grouped engine call of :meth:`MeasurementHarness.measure_table`;
+#: bounds peak memory at one chunk's metric columns.
 _DEFAULT_FUSED_CHUNK = 64
 
 
@@ -304,23 +304,13 @@ class MeasurementHarness:
         progress_callback=None,
         description: str = "",
         metadata: dict[str, object] | None = None,
-        sink=None,
     ):
         """Measure a list of functions into a columnar measurement table.
 
         The array-first counterpart of :meth:`measure_many`: the list runs
-        as chunks of at most :data:`_DEFAULT_FUSED_CHUNK` functions (no more
-        than one shard when streaming into a sharded sink), each one grouped
-        engine call (:meth:`measure_chunk_stats`).
-
-        ``sink`` selects where the stat blocks land.  By default a fresh
-        :class:`~repro.dataset.table.MeasurementTableBuilder` collects them
-        into an in-memory table; passing a
-        :class:`~repro.dataset.sharding.ShardedTableWriter` (or any object
-        with the same ``add_function`` / ``build`` surface) streams them out
-        of core instead, in which case the writer's own description/metadata
-        apply and this method's ``description`` / ``metadata`` arguments are
-        ignored.  Returns whatever ``sink.build()`` returns.
+        as chunks of :data:`_DEFAULT_FUSED_CHUNK` functions, each one grouped
+        engine call (:meth:`measure_chunk_stats`), and the stat blocks land
+        in a :class:`~repro.dataset.table.MeasurementTableBuilder`.
         """
         memory_sizes = tuple(
             int(size)
@@ -328,29 +318,14 @@ class MeasurementHarness:
                 memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
             )
         )
-        if sink is None:
-            sink = MeasurementTableBuilder(
-                memory_sizes_mb=memory_sizes, description=description, metadata=metadata
-            )
-        else:
-            # Stat-block rows are produced in measure order; a sink expecting
-            # a different size order would silently swap columns.
-            sink_sizes = tuple(getattr(sink, "input_memory_sizes_mb", memory_sizes))
-            if sink_sizes != memory_sizes:
-                raise ConfigurationError(
-                    f"sink expects memory sizes {sink_sizes}, harness measures "
-                    f"{memory_sizes}"
-                )
-        # One grouped engine call per chunk.  The chunk is capped at the
-        # memory-bounding default even when a sharded sink uses larger shards
-        # (the sink buffers rows until a shard fills, so chunking below the
-        # shard size never changes the output); per-group streams derive from
-        # absolute indices, so chunking never changes the numbers either.
-        shard_size = int(getattr(sink, "shard_size", 0) or 0)
+        builder = MeasurementTableBuilder(
+            memory_sizes_mb=memory_sizes, description=description, metadata=metadata
+        )
+        # One grouped engine call per chunk; per-group streams derive from
+        # absolute indices, so chunking never changes the numbers.
         total = len(functions)
-        step = min(shard_size or _DEFAULT_FUSED_CHUNK, _DEFAULT_FUSED_CHUNK)
-        for start in range(0, total, step):
-            chunk = functions[start : start + step]
+        for start in range(0, total, _DEFAULT_FUSED_CHUNK):
+            chunk = functions[start : start + _DEFAULT_FUSED_CHUNK]
             stats, counts = self.measure_chunk_stats(
                 chunk,
                 index_offset=start,
@@ -358,7 +333,7 @@ class MeasurementHarness:
                 workload=workload,
             )
             for k, function in enumerate(chunk):
-                sink.add_function(
+                builder.add_function(
                     function.name,
                     application=function.application,
                     segments=function.segments,
@@ -367,4 +342,4 @@ class MeasurementHarness:
                 )
                 if progress_callback is not None:
                     progress_callback(start + k + 1, total, function.name)
-        return sink.build()
+        return builder.build()

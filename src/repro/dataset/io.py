@@ -4,7 +4,7 @@ The paper publishes its 12 000-measurement dataset in a CodeOcean capsule;
 these helpers let users export and re-import the simulator-generated
 equivalent so that model training can be decoupled from dataset generation.
 
-Four formats, one invariant — loading what was saved reproduces the same
+Three formats, one invariant — loading what was saved reproduces the same
 measurement table:
 
 - **JSON** (optionally gzip-compressed): full fidelity including segments and
@@ -13,10 +13,7 @@ measurement table:
   drops segment composition and dataset metadata.
 - **NPZ**: the columnar :class:`~repro.dataset.table.MeasurementTable` arrays
   saved directly via :func:`numpy.savez_compressed` — the fast path for
-  paper-scale datasets that still fit in memory.
-- **Sharded NPZ**: a directory with a versioned JSON manifest plus one
-  uncompressed NPZ per function shard — the out-of-core format behind
-  :class:`~repro.dataset.sharding.ShardedMeasurementTable`.
+  paper-scale datasets.
 
 Every format is versioned, and every loader raises
 :class:`~repro.errors.DatasetError` (never a bare ``KeyError`` or
@@ -43,40 +40,6 @@ from repro.monitoring.metrics import METRIC_NAMES
 _FORMAT_VERSION = 1
 _NPZ_FORMAT_VERSION = 1
 
-#: Format version of the sharded-table manifest (``manifest.json``).
-MANIFEST_FORMAT_VERSION = 1
-
-#: Format version of the per-shard NPZ archives.
-SHARD_FORMAT_VERSION = 1
-
-#: File name of the shard manifest inside a sharded-table directory.
-MANIFEST_FILENAME = "manifest.json"
-
-#: Keys every shard manifest must carry (documented in ``docs/FORMATS.md``).
-MANIFEST_REQUIRED_KEYS = (
-    "format_version",
-    "shard_size",
-    "n_functions",
-    "n_shards",
-    "memory_sizes_mb",
-    "metric_names",
-    "stat_names",
-    "dtypes",
-    "description",
-    "metadata",
-    "shards",
-)
-
-#: Keys every per-shard NPZ must carry (documented in ``docs/FORMATS.md``).
-SHARD_NPZ_KEYS = (
-    "format_version",
-    "values",
-    "n_invocations",
-    "function_names",
-    "applications",
-    "segments_json",
-)
-
 #: Keys every whole-table NPZ must carry (documented in ``docs/FORMATS.md``).
 TABLE_NPZ_KEYS = (
     "format_version",
@@ -92,21 +55,11 @@ TABLE_NPZ_KEYS = (
     "metadata_json",
 )
 
-#: On-disk dtypes of the dense shard arrays, recorded in the manifest.
-SHARD_DTYPES = {"values": "float64", "n_invocations": "int64"}
-
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
 def _wants_gzip(path: Path, compress: bool | None) -> bool:
     return path.suffix == ".gz" if compress is None else bool(compress)
-
-
-def _require_npz_keys(archive, required: tuple[str, ...], path: Path) -> None:
-    """Reject an NPZ archive that lacks required keys with a typed error."""
-    missing = [key for key in required if key not in archive]
-    if missing:
-        raise DatasetError(f"corrupt dataset file {path}: missing keys {missing}")
 
 
 def save_dataset_json(
@@ -323,7 +276,9 @@ def load_table_npz(path: str | Path) -> MeasurementTable:
         raise DatasetError(f"dataset file {path} does not exist")
     try:
         with np.load(path, allow_pickle=False) as archive:
-            _require_npz_keys(archive, TABLE_NPZ_KEYS, path)
+            missing = [key for key in TABLE_NPZ_KEYS if key not in archive]
+            if missing:
+                raise DatasetError(f"corrupt dataset file {path}: missing keys {missing}")
             version = int(archive["format_version"])
             if version != _NPZ_FORMAT_VERSION:
                 raise DatasetError(f"unsupported dataset format version {version!r}")
@@ -359,265 +314,3 @@ def load_dataset_npz(path: str | Path) -> MeasurementDataset:
     """Load an NPZ archive as an object-API dataset (table view)."""
     return load_table_npz(path).to_dataset()
 
-
-# --------------------------------------------------------------- sharded format
-def write_shard_manifest(directory: str | Path, manifest: dict) -> Path:
-    """Write the manifest of a sharded table directory and return its path.
-
-    The manifest is the versioned index of the sharded on-disk format: shard
-    file names and their function-axis placement, array dtypes and the axis
-    metadata shared by all shards (see ``docs/FORMATS.md``).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    missing = [key for key in MANIFEST_REQUIRED_KEYS if key not in manifest]
-    if missing:
-        raise DatasetError(f"shard manifest is missing fields {missing}")
-    path = directory / MANIFEST_FILENAME
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-    return path
-
-
-def read_shard_manifest(directory: str | Path) -> dict:
-    """Read and validate the manifest of a sharded table directory.
-
-    Checks the format version, the presence of every required field, and the
-    contiguity of the shard index (shards must tile ``0..n_functions`` in
-    order, without gaps or overlaps).  Any violation raises
-    :class:`~repro.errors.DatasetError`.
-    """
-    directory = Path(directory)
-    path = directory / MANIFEST_FILENAME
-    if not path.exists():
-        raise DatasetError(
-            f"{directory} is not a sharded table directory ({MANIFEST_FILENAME} missing)"
-        )
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"corrupt shard manifest {path}: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"corrupt shard manifest {path}: expected a JSON object")
-    if manifest.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise DatasetError(
-            f"unsupported shard manifest format version "
-            f"{manifest.get('format_version')!r}"
-        )
-    missing = [key for key in MANIFEST_REQUIRED_KEYS if key not in manifest]
-    if missing:
-        raise DatasetError(f"corrupt shard manifest {path}: missing fields {missing}")
-    field_types = {
-        "shard_size": int,
-        "n_functions": int,
-        "n_shards": int,
-        "description": str,
-        "metadata": dict,
-        "memory_sizes_mb": list,
-        "metric_names": list,
-        "stat_names": list,
-    }
-    for key, expected_type in field_types.items():
-        # bool is an int subclass; a boolean count is still corrupt.
-        value = manifest[key]
-        if not isinstance(value, expected_type) or isinstance(value, bool):
-            raise DatasetError(
-                f"corrupt shard manifest {path}: {key} must be "
-                f"{expected_type.__name__}, got {value!r}"
-            )
-    if manifest["shard_size"] < 1 or manifest["n_functions"] < 0:
-        raise DatasetError(
-            f"corrupt shard manifest {path}: shard_size/n_functions out of range"
-        )
-    if not all(isinstance(size, int) and not isinstance(size, bool)
-               for size in manifest["memory_sizes_mb"]):
-        raise DatasetError(
-            f"corrupt shard manifest {path}: memory_sizes_mb must be integers"
-        )
-    dtypes = manifest["dtypes"]
-    if not isinstance(dtypes, dict) or dict(dtypes) != SHARD_DTYPES:
-        raise DatasetError(
-            f"corrupt shard manifest {path}: dtypes {dtypes!r} "
-            f"(supported: {SHARD_DTYPES})"
-        )
-    shards = manifest["shards"]
-    if not isinstance(shards, list) or len(shards) != manifest["n_shards"]:
-        raise DatasetError(
-            f"corrupt shard manifest {path}: n_shards does not match the shard index"
-        )
-    expected_start = 0
-    for entry in shards:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("file"), str)
-            or not isinstance(entry.get("start"), int)
-            or not isinstance(entry.get("stop"), int)
-        ):
-            raise DatasetError(
-                f"corrupt shard manifest {path}: malformed shard entry {entry!r}"
-            )
-        # Shard files live flat inside the table directory; a path that
-        # escapes it (absolute, or with separators) must not be followed.
-        file_name = entry["file"]
-        if not file_name or file_name != Path(file_name).name:
-            raise DatasetError(
-                f"corrupt shard manifest {path}: shard file {file_name!r} "
-                f"must be a bare file name inside the table directory"
-            )
-        if entry["start"] != expected_start or entry["stop"] <= entry["start"]:
-            raise DatasetError(
-                f"corrupt shard manifest {path}: shards must tile the function "
-                f"axis contiguously (entry {entry!r}, expected start {expected_start})"
-            )
-        expected_start = entry["stop"]
-    if expected_start != manifest["n_functions"]:
-        raise DatasetError(
-            f"corrupt shard manifest {path}: shards cover {expected_start} of "
-            f"{manifest['n_functions']} functions"
-        )
-    return manifest
-
-
-def save_shard_npz(path: str | Path, shard: MeasurementTable) -> Path:
-    """Save one function shard as an uncompressed NPZ archive.
-
-    The shard carries the dense ``values`` / ``n_invocations`` arrays of its
-    function rows plus the per-function index arrays; the axis metadata
-    shared by all shards lives in the manifest.  Shards are written
-    *uncompressed* (:func:`numpy.savez`) so that lazily decoding a member on
-    access costs one read, not a decompression pass over the archive.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        np.savez(
-            handle,
-            format_version=np.int64(SHARD_FORMAT_VERSION),
-            values=np.asarray(shard.values, dtype=np.float64),
-            n_invocations=np.asarray(shard.n_invocations, dtype=np.int64),
-            function_names=np.asarray(shard.function_names, dtype=np.str_),
-            applications=np.asarray(shard.applications, dtype=np.str_),
-            segments_json=np.asarray(
-                json.dumps([list(map(list, s)) for s in shard.segments])
-            ),
-        )
-    return path
-
-
-def open_shard_npz(path: str | Path):
-    """Open one shard NPZ for reading and return the validated archive.
-
-    The archive is opened with ``numpy.load(..., mmap_mode="r")``; numpy
-    does not map zip members, but NPZ members decode lazily on access, so
-    only the members a caller touches are ever read and inflated.  Missing
-    files,
-    unreadable archives, missing keys and version mismatches all raise
-    :class:`~repro.errors.DatasetError`; the caller must close the archive.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"shard file {path} is missing")
-    try:
-        archive = np.load(path, allow_pickle=False, mmap_mode="r")
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
-        raise DatasetError(f"corrupt shard file {path}: {exc!r}") from None
-    try:
-        _require_npz_keys(archive, SHARD_NPZ_KEYS, path)
-        version = int(archive["format_version"])
-        if version != SHARD_FORMAT_VERSION:
-            raise DatasetError(f"unsupported shard format version {version!r}")
-    except DatasetError:
-        archive.close()
-        raise
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError) as exc:
-        archive.close()
-        raise DatasetError(f"corrupt shard file {path}: {exc!r}") from None
-    return archive
-
-
-def load_shard_index_arrays(path: str | Path):
-    """Load the light per-function index arrays of one shard NPZ.
-
-    Returns ``(function_names, applications, segments, n_invocations)``; the
-    dense ``values`` member is deliberately not touched, so opening a sharded
-    table stays cheap regardless of shard size.
-    """
-    path = Path(path)
-    try:
-        with open_shard_npz(path) as archive:
-            segments = tuple(
-                tuple((str(name), float(value)) for name, value in entry)
-                for entry in json.loads(str(archive["segments_json"]))
-            )
-            return (
-                tuple(str(name) for name in archive["function_names"]),
-                tuple(str(app) for app in archive["applications"]),
-                segments,
-                np.asarray(archive["n_invocations"], dtype=np.int64),
-            )
-    except DatasetError:
-        raise
-    except (
-        zipfile.BadZipFile,
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
-        raise DatasetError(f"corrupt shard file {path}: {exc!r}") from None
-
-
-def load_shard_values(path: str | Path) -> np.ndarray:
-    """Load the dense ``values`` array of one shard NPZ.
-
-    The returned array has the on-disk dtype (float64); shape validation
-    against the manifest happens in the sharded table, which knows the
-    expected axis lengths.
-    """
-    path = Path(path)
-    try:
-        with open_shard_npz(path) as archive:
-            values = archive["values"]
-    except DatasetError:
-        raise
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError) as exc:
-        raise DatasetError(f"corrupt shard file {path}: {exc!r}") from None
-    if values.dtype != np.dtype(SHARD_DTYPES["values"]):
-        raise DatasetError(
-            f"corrupt shard file {path}: values dtype {values.dtype} "
-            f"(expected {SHARD_DTYPES['values']})"
-        )
-    return values
-
-
-def save_table_sharded(
-    dataset: MeasurementDataset | MeasurementTable,
-    directory: str | Path,
-    shard_size: int,
-    overwrite: bool = False,
-) -> Path:
-    """Persist measurements as a sharded table directory and return its path.
-
-    Columnarizes an object-API dataset first, then writes ``shard_size``
-    functions per NPZ plus the manifest via
-    :func:`repro.dataset.sharding.shard_table`.
-    """
-    from repro.dataset.sharding import shard_table
-
-    table = dataset if isinstance(dataset, MeasurementTable) else dataset.to_table()
-    shard_table(table, directory, shard_size=shard_size, overwrite=overwrite)
-    return Path(directory)
-
-
-def load_table_sharded(directory: str | Path):
-    """Open a sharded table directory written by :func:`save_table_sharded`.
-
-    Returns a :class:`~repro.dataset.sharding.ShardedMeasurementTable`; only
-    the manifest and the light index arrays are read eagerly, the dense stat
-    arrays stay on disk until accessed shard by shard.
-    """
-    from repro.dataset.sharding import ShardedMeasurementTable
-
-    return ShardedMeasurementTable.open(directory)

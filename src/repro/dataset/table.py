@@ -17,13 +17,6 @@ without re-extraction.  The pre-existing object API
 :class:`~repro.monitoring.aggregation.MonitoringSummary`) remains available
 as a view materialized from the table (:meth:`MeasurementTable.to_dataset`),
 so object-path and table-path numbers are bit-identical.
-
-Two table implementations share one read surface (:class:`MeasurementAxes`):
-this module's in-memory table, and the sharded out-of-core sibling in
-:mod:`repro.dataset.sharding` whose dense arrays live on disk, one NPZ per
-function shard.  Consumers that stream through :meth:`iter_value_blocks`
-(such as :meth:`repro.core.features.FeatureExtractor.extract_table`) work on
-either without materializing more than one shard at a time.
 """
 
 from __future__ import annotations
@@ -38,28 +31,6 @@ from repro.monitoring.metrics import METRIC_NAMES
 
 #: Segment composition type: ``((segment_name, intensity), ...)`` per function.
 SegmentTuple = tuple[tuple[str, float], ...]
-
-
-def validate_axis_names(
-    metric_names: tuple[str, ...], stat_names: tuple[str, ...]
-) -> None:
-    """Reject metric/stat axis labels that deviate from the canonical orders.
-
-    Consumers (``summary_from_stats``, the stat columns selected by
-    ``extract_table``) rely on the Table-1 metric order and the
-    :data:`~repro.monitoring.aggregation.STAT_NAMES` statistic order; a table
-    with different labels would be silently misread, so both the in-memory
-    and the sharded table reject it outright.
-    """
-    if tuple(metric_names) != tuple(METRIC_NAMES):
-        raise DatasetError(
-            "metric_names must match the Table-1 metric order "
-            "(repro.monitoring.metrics.METRIC_NAMES)"
-        )
-    if tuple(stat_names) != tuple(STAT_NAMES):
-        raise DatasetError(
-            "stat_names must match repro.monitoring.aggregation.STAT_NAMES"
-        )
 
 
 def measurement_stat_block(
@@ -98,19 +69,77 @@ def measurement_stat_block(
     return stats, counts
 
 
-class MeasurementAxes:
-    """Shared axis-and-lookup surface of the measurement-table implementations.
+@dataclass(frozen=True)
+class MeasurementTable:
+    """Dense columnar storage of a measurement campaign.
 
-    Implementations provide the index attributes (``function_names``,
-    ``applications``, ``segments``, ``memory_sizes_mb``, ``metric_names``,
-    ``stat_names``, ``n_invocations``, ``description``, ``metadata``) plus the
-    :meth:`_stat_cell` accessor and :meth:`iter_value_blocks`; this mixin
-    derives the dimensions, label lookups, measured-cell views and the
-    per-cell :class:`~repro.monitoring.aggregation.MonitoringSummary` view
-    from them, so the in-memory :class:`MeasurementTable` and the sharded
-    :class:`~repro.dataset.sharding.ShardedMeasurementTable` behave
-    identically wherever the dense array is not touched.
+    Attributes
+    ----------
+    function_names / applications / segments:
+        Per-function index arrays (length ``n_functions``).
+    memory_sizes_mb:
+        Measured memory sizes in column order of axis 1, sorted ascending.
+    metric_names / stat_names:
+        Labels of axes 2 and 3 of ``values``.
+    values:
+        ``(n_functions, n_sizes, n_metrics, n_stats)`` float array of
+        aggregated statistics.  Cells of unmeasured (function, size) pairs
+        are zero; consult :attr:`measured`.
+    n_invocations:
+        ``(n_functions, n_sizes)`` integer array of invocations per cell
+        (0 marks an unmeasured cell).
+    description / metadata:
+        Dataset-level annotations (mirrors :class:`MeasurementDataset`).
     """
+
+    function_names: tuple[str, ...]
+    applications: tuple[str, ...]
+    segments: tuple[SegmentTuple, ...]
+    memory_sizes_mb: tuple[int, ...]
+    values: np.ndarray
+    n_invocations: np.ndarray
+    metric_names: tuple[str, ...] = METRIC_NAMES
+    stat_names: tuple[str, ...] = STAT_NAMES
+    description: str = ""
+    metadata: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Validate axis labels, array shapes and index-array consistency."""
+        # Consumers (``summary_from_stats``, the stat columns selected by
+        # ``extract_table``) rely on the canonical axis orders; a table with
+        # different labels would be silently misread.
+        if tuple(self.metric_names) != tuple(METRIC_NAMES):
+            raise DatasetError(
+                "metric_names must match the Table-1 metric order "
+                "(repro.monitoring.metrics.METRIC_NAMES)"
+            )
+        if tuple(self.stat_names) != tuple(STAT_NAMES):
+            raise DatasetError(
+                "stat_names must match repro.monitoring.aggregation.STAT_NAMES"
+            )
+        expected = (
+            len(self.function_names),
+            len(self.memory_sizes_mb),
+            len(self.metric_names),
+            len(self.stat_names),
+        )
+        if tuple(self.values.shape) != expected:
+            raise DatasetError(
+                f"values has shape {tuple(self.values.shape)}, expected {expected}"
+            )
+        if tuple(self.n_invocations.shape) != expected[:2]:
+            raise DatasetError(
+                f"n_invocations has shape {tuple(self.n_invocations.shape)}, "
+                f"expected {expected[:2]}"
+            )
+        if len(self.applications) != len(self.function_names):
+            raise DatasetError("applications must have one entry per function")
+        if len(self.segments) != len(self.function_names):
+            raise DatasetError("segments must have one entry per function")
+        if len(set(self.function_names)) != len(self.function_names):
+            raise DatasetError("function names must be unique")
+        if tuple(sorted(self.memory_sizes_mb)) != tuple(self.memory_sizes_mb):
+            raise DatasetError("memory_sizes_mb must be sorted ascending")
 
     # ------------------------------------------------------------- dimensions
     @property
@@ -170,89 +199,6 @@ class MeasurementAxes:
         common = self.measured.all(axis=0)
         return [size for j, size in enumerate(self.memory_sizes_mb) if common[j]]
 
-    # ----------------------------------------------------------- object views
-    def _stat_cell(self, function_index: int, size_index: int) -> np.ndarray:
-        """Return the ``(n_metrics, n_stats)`` stat cell of one table entry."""
-        raise NotImplementedError
-
-    def summary(self, function_name: str, memory_mb: int):
-        """Materialize the :class:`MonitoringSummary` view of one cell."""
-        i = self.function_index(function_name)
-        j = self.size_index(memory_mb)
-        if not self.n_invocations[i, j]:
-            raise DatasetError(
-                f"function {function_name!r} has no measurement at {memory_mb} MB"
-            )
-        return summary_from_stats(
-            function_name=function_name,
-            memory_mb=float(self.memory_sizes_mb[j]),
-            stats=self._stat_cell(i, j),
-            n_invocations=int(self.n_invocations[i, j]),
-        )
-
-
-@dataclass(frozen=True)
-class MeasurementTable(MeasurementAxes):
-    """Dense columnar storage of a measurement campaign.
-
-    Attributes
-    ----------
-    function_names / applications / segments:
-        Per-function index arrays (length ``n_functions``).
-    memory_sizes_mb:
-        Measured memory sizes in column order of axis 1, sorted ascending.
-    metric_names / stat_names:
-        Labels of axes 2 and 3 of ``values``.
-    values:
-        ``(n_functions, n_sizes, n_metrics, n_stats)`` float array of
-        aggregated statistics.  Cells of unmeasured (function, size) pairs
-        are zero; consult :attr:`~MeasurementAxes.measured`.
-    n_invocations:
-        ``(n_functions, n_sizes)`` integer array of invocations per cell
-        (0 marks an unmeasured cell).
-    description / metadata:
-        Dataset-level annotations (mirrors :class:`MeasurementDataset`).
-    """
-
-    function_names: tuple[str, ...]
-    applications: tuple[str, ...]
-    segments: tuple[SegmentTuple, ...]
-    memory_sizes_mb: tuple[int, ...]
-    values: np.ndarray
-    n_invocations: np.ndarray
-    metric_names: tuple[str, ...] = METRIC_NAMES
-    stat_names: tuple[str, ...] = STAT_NAMES
-    description: str = ""
-    metadata: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        """Validate axis labels, array shapes and index-array consistency."""
-        validate_axis_names(self.metric_names, self.stat_names)
-        expected = (
-            len(self.function_names),
-            len(self.memory_sizes_mb),
-            len(self.metric_names),
-            len(self.stat_names),
-        )
-        if tuple(self.values.shape) != expected:
-            raise DatasetError(
-                f"values has shape {tuple(self.values.shape)}, expected {expected}"
-            )
-        if tuple(self.n_invocations.shape) != expected[:2]:
-            raise DatasetError(
-                f"n_invocations has shape {tuple(self.n_invocations.shape)}, "
-                f"expected {expected[:2]}"
-            )
-        if len(self.applications) != len(self.function_names):
-            raise DatasetError("applications must have one entry per function")
-        if len(self.segments) != len(self.function_names):
-            raise DatasetError("segments must have one entry per function")
-        if len(set(self.function_names)) != len(self.function_names):
-            raise DatasetError("function names must be unique")
-        if tuple(sorted(self.memory_sizes_mb)) != tuple(self.memory_sizes_mb):
-            raise DatasetError("memory_sizes_mb must be sorted ascending")
-
-    # ------------------------------------------------------------ array views
     def stat(self, metric: str, stat: str = "mean") -> np.ndarray:
         """Return a ``(n_functions, n_sizes)`` view of one statistic of one metric."""
         try:
@@ -267,37 +213,30 @@ class MeasurementTable(MeasurementAxes):
         """Return the ``(n_functions, n_sizes)`` mean execution times."""
         return self.stat("execution_time", "mean")
 
-    def iter_value_blocks(self, function_indices=None):
-        """Yield dense value blocks covering the requested function rows.
+    def row_indices(self, function_indices) -> np.ndarray:
+        """Return ``function_indices`` as an integer array of checked rows.
 
-        The concatenation of the yielded ``(block_rows, n_sizes, n_metrics,
-        n_stats)`` arrays along axis 0 equals ``values[function_indices]``
-        (``values`` itself when ``function_indices`` is ``None``).  The
-        in-memory table yields a single block; the sharded table yields one
-        block per traversed shard so that consumers iterating blocks never
-        hold more than one shard's dense array at a time.
-
-        Both implementations reject negative or out-of-range indices with
-        :class:`~repro.errors.DatasetError` (no numpy wraparound), so code
-        written against one table behaves identically on the other.
+        Negative or out-of-range indices raise
+        :class:`~repro.errors.DatasetError` instead of wrapping around or
+        surfacing as a bare ``IndexError``, and so do non-integer indices
+        (a boolean mask would otherwise be read as rows 0 and 1).
         """
-        if function_indices is None:
-            yield self.values
-            return
-        indices = np.asarray(function_indices, dtype=int)
-        if indices.size and np.any((indices < 0) | (indices >= self.n_functions)):
+        indices = np.asarray(function_indices)
+        if not indices.size:
+            return indices.astype(int)
+        if indices.dtype.kind not in "iu":
+            raise DatasetError(
+                f"function indices must be integers, got dtype {indices.dtype}"
+            )
+        if np.any((indices < 0) | (indices >= self.n_functions)):
             raise DatasetError(
                 f"function indices out of range for {self.n_functions} functions"
             )
-        yield self.values[indices]
-
-    def _stat_cell(self, function_index: int, size_index: int) -> np.ndarray:
-        """Return the ``(n_metrics, n_stats)`` stat cell of one table entry."""
-        return self.values[function_index, size_index]
+        return indices.astype(int, copy=False)
 
     def take(self, function_indices) -> "MeasurementTable":
         """Return a sub-table restricted to the given function rows."""
-        indices = np.asarray(function_indices, dtype=int)
+        indices = self.row_indices(function_indices)
         return MeasurementTable(
             function_names=tuple(self.function_names[i] for i in indices),
             applications=tuple(self.applications[i] for i in indices),
@@ -312,6 +251,21 @@ class MeasurementTable(MeasurementAxes):
         )
 
     # ----------------------------------------------------------- object views
+    def summary(self, function_name: str, memory_mb: int):
+        """Materialize the :class:`MonitoringSummary` view of one cell."""
+        i = self.function_index(function_name)
+        j = self.size_index(memory_mb)
+        if not self.n_invocations[i, j]:
+            raise DatasetError(
+                f"function {function_name!r} has no measurement at {memory_mb} MB"
+            )
+        return summary_from_stats(
+            function_name=function_name,
+            memory_mb=float(self.memory_sizes_mb[j]),
+            stats=self.values[i, j],
+            n_invocations=int(self.n_invocations[i, j]),
+        )
+
     def to_dataset(self):
         """Materialize the object-API view over the whole table.
 
@@ -451,10 +405,6 @@ class MeasurementTableBuilder:
         self._segments.append(tuple((str(n), float(v)) for n, v in segments))
         self._stats.append(stats[self._source_rows])
         self._counts.append(counts[self._source_rows])
-
-    def __len__(self) -> int:
-        """Return the number of functions appended so far."""
-        return len(self._names)
 
     def build(self) -> MeasurementTable:
         """Stack the appended blocks into a :class:`MeasurementTable`."""

@@ -25,7 +25,6 @@ from repro.core.training import build_training_matrices, train_model
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.dataset.schema import FunctionMeasurement, MeasurementDataset
-from repro.dataset.sharding import ShardedMeasurementTable, validate_sharding_options
 from repro.dataset.table import MeasurementTable
 from repro.ml.network import NetworkConfig
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
@@ -54,13 +53,10 @@ class ExperimentScale:
     feature_names: tuple[str, ...] = DEFAULT_FEATURE_SET
     seed: int = 42
     backend: str = "vectorized"
-    shard_size: int | None = None
-    shard_directory: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_training_functions < 5:
             raise ConfigurationError("n_training_functions must be at least 5")
-        validate_sharding_options(self.shard_size, self.shard_directory)
         if self.default_base_size_mb not in self.memory_sizes_mb:
             raise ConfigurationError("default_base_size_mb must be a candidate size")
         if self.case_repetitions < 1:
@@ -104,22 +100,19 @@ class ExperimentContext:
     def __init__(self, scale: ExperimentScale | None = None) -> None:
         self.scale = scale if scale is not None else ExperimentScale.standard()
         self.pricing = PricingModel()
-        self._table: MeasurementTable | ShardedMeasurementTable | None = None
+        self._table: MeasurementTable | None = None
         self._dataset: MeasurementDataset | None = None
         self._models: dict[int, SizelessModel] = {}
         self._case_measurements: dict[str, list[list[FunctionMeasurement]]] | None = None
         self._applications: list[CaseStudyApplication] | None = None
 
     # --------------------------------------------------------------- dataset
-    def training_table(self) -> MeasurementTable | ShardedMeasurementTable:
+    def training_table(self) -> MeasurementTable:
         """The synthetic training measurements as a columnar table.
 
         Generated once (straight from engine batch columns) and cached; the
         object-API :meth:`training_dataset` view and all training matrices
-        derive from this one artefact.  When the scale sets ``shard_size``,
-        the table is generated out of core and every downstream consumer
-        (training matrices, Figure-4 selection, Table-2 grid search) streams
-        it shard by shard.
+        derive from this one artefact.
         """
         if self._table is None:
             generator = TrainingDatasetGenerator(
@@ -129,8 +122,6 @@ class ExperimentContext:
                     invocations_per_size=self.scale.train_invocations_per_size,
                     seed=self.scale.seed,
                     backend=self.scale.backend,
-                    shard_size=self.scale.shard_size,
-                    shard_directory=self.scale.shard_directory,
                 )
             )
             self._table = generator.generate_table()

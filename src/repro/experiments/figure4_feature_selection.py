@@ -54,9 +54,7 @@ def run(
 
     # One vectorized extraction of the full feature grammar; every selection
     # round below slices candidate columns out of this superset matrix
-    # instead of re-extracting features per round.  The table may be
-    # in-memory or sharded (ExperimentScale(shard_size=...)): assembly
-    # streams it either way and yields bit-identical matrices.
+    # instead of re-extracting features per round.
     superset = feature_superset()
     matrices = build_training_matrices(
         table,

@@ -96,8 +96,7 @@ def run(
         (keeps the reduced grid fast); ``None`` uses the full dataset.
     """
     context = context if context is not None else ExperimentContext()
-    # Matrices assemble identically from an in-memory or a sharded training
-    # table (ExperimentScale(shard_size=...)); the search never touches the
+    # The search works on the assembled matrices; it never touches the
     # dense stat arrays directly.
     matrices = context.training_matrices(base_memory_mb)
     features = matrices.features

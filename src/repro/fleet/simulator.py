@@ -482,8 +482,8 @@ class FleetSimulator:
         Cohort key: (profile value, deployed memory size, log10 bucket of
         the mean window rate).  The profile participates by *value* —
         :class:`~repro.simulation.profile.ResourceProfile` is frozen and
-        hashable — so cohort assignment is deterministic across processes,
-        shards and runs, and equal-valued profiles cohort together even when
+        hashable — so cohort assignment is deterministic across processes
+        and runs, and equal-valued profiles cohort together even when
         they are distinct objects.  Functions whose mean rate is not
         bucketable (zero / non-finite) stay solo.  Returns ``None`` when
         cohorting is off or degenerate (every cohort a singleton) so callers

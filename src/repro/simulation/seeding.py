@@ -9,7 +9,7 @@ executor — needs its *own* random stream per group, for two reasons:
    columnar pass, while the looped path executes one batch per group.  Both
    produce bit-identical numbers only when every group draws its noise from
    an independent stream that does not depend on scheduling order.
-2. **Schedule independence.**  A chunked or sharded run measuring function
+2. **Schedule independence.**  A chunked run measuring function
    ``i`` must draw the same noise the one-shot sequential schedule would,
    regardless of chunk size.
 

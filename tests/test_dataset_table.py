@@ -22,6 +22,8 @@ import pytest
 
 from repro.errors import ConfigurationError, DatasetError, MonitoringError
 from repro.core.features import FeatureExtractor, feature_superset
+from repro.core.pipeline import PipelineConfig
+from repro.core.predictor import SizelessPredictor
 from repro.core.training import build_training_matrices
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
@@ -36,6 +38,7 @@ from repro.dataset.io import (
     save_table_npz,
 )
 from repro.dataset.table import MeasurementTable, MeasurementTableBuilder
+from repro.experiments.context import ExperimentScale
 from repro.ml.linear import LinearRegression
 from repro.ml.validation import KFold, cross_validate
 from repro.monitoring.metrics import METRIC_NAMES
@@ -105,6 +108,28 @@ class TestTableShape:
             small_table.function_names[0],
         )
         np.testing.assert_array_equal(subset.values[1], small_table.values[0])
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [([99], "out of range"), ([-1], "out of range"), ([True, False], "integers")],
+        ids=["past-end", "negative", "mask"],
+    )
+    def test_function_indices_are_range_checked(
+        self, small_table, trained_model, indices, message
+    ):
+        # No numpy wraparound for negative rows, no bare IndexError past the
+        # end and no mask read as rows 0/1: every row-indexed entry point
+        # raises the same typed error.
+        with pytest.raises(DatasetError, match=message):
+            small_table.take(indices)
+        with pytest.raises(DatasetError, match=message):
+            FeatureExtractor().extract_table(
+                small_table, memory_mb=256, function_indices=indices
+            )
+        with pytest.raises(DatasetError, match=message):
+            SizelessPredictor(trained_model).predict_table(
+                small_table, function_indices=indices
+            )
 
     def test_builder_validates(self):
         builder = MeasurementTableBuilder(memory_sizes_mb=(128, 256))
@@ -419,3 +444,37 @@ class TestPersistence:
             assert handle.read(2) == b"\x1f\x8b"
         with gzip.open(path, "rt", encoding="utf-8") as handle:
             assert json.load(handle)["format_version"] == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExperimentScale(shard_size=4),
+        lambda: ExperimentScale(shard_directory="tables"),
+        lambda: PipelineConfig(shard_size=4),
+        lambda: PipelineConfig(shard_directory="tables"),
+        lambda: DatasetGenerationConfig(shard_size=4),
+        lambda: DatasetGenerationConfig(shard_directory="tables"),
+        lambda: TrainingDatasetGenerator().generate_table(shard_size=4),
+        lambda: TrainingDatasetGenerator().generate_table(shard_directory="tables"),
+        lambda: MeasurementHarness().measure_table(
+            [], sink=MeasurementTableBuilder(memory_sizes_mb=(128,))
+        ),
+    ],
+    ids=[
+        "scale-shard_size",
+        "scale-shard_directory",
+        "pipeline-shard_size",
+        "pipeline-shard_directory",
+        "generation-shard_size",
+        "generation-shard_directory",
+        "generate_table-shard_size",
+        "generate_table-shard_directory",
+        "measure_table-sink",
+    ],
+)
+def test_removed_table_knobs_raise(call):
+    # The in-memory table is the only representation: the out-of-core
+    # table's knobs are gone rather than silently ignored.
+    with pytest.raises(TypeError):
+        call()

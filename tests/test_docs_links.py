@@ -4,7 +4,7 @@ Two guarantees:
 
 1. ``README.md`` and ``docs/`` contain no dead intra-repo links or anchors
    (the same check the CI ``docs`` job runs via ``tools/check_links.py``).
-2. ``docs/FORMATS.md`` documents exactly the manifest fields and NPZ keys
+2. ``docs/FORMATS.md`` documents exactly the NPZ keys and format versions
    the implementation in :mod:`repro.dataset.io` enforces — the on-disk
    contract cannot silently drift from its specification.
 """
@@ -17,11 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dataset.io import (
-    MANIFEST_REQUIRED_KEYS,
-    SHARD_NPZ_KEYS,
-    TABLE_NPZ_KEYS,
-)
+from repro.dataset import io
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,23 +86,12 @@ class TestFormatsSpecMatchesCode:
     def formats_md(self) -> str:
         return (REPO_ROOT / "docs" / "FORMATS.md").read_text(encoding="utf-8")
 
-    def test_manifest_fields_match(self, formats_md):
-        documented = _table_keys(formats_md, "### `manifest.json` fields")
-        assert documented == set(MANIFEST_REQUIRED_KEYS)
-
-    def test_shard_npz_keys_match(self, formats_md):
-        documented = _table_keys(formats_md, "### Shard NPZ keys")
-        assert documented == set(SHARD_NPZ_KEYS)
-
     def test_table_npz_keys_match(self, formats_md):
         documented = _table_keys(formats_md, "## Table NPZ")
-        assert documented == set(TABLE_NPZ_KEYS)
+        assert documented == set(io.TABLE_NPZ_KEYS)
 
     def test_versions_and_error_classes_documented(self, formats_md):
-        for constant in (
-            "MANIFEST_FORMAT_VERSION",
-            "SHARD_FORMAT_VERSION",
-            "SHARD_DTYPES",
-            "DatasetError",
-        ):
+        assert f"dataset JSON **{io._FORMAT_VERSION}**" in formats_md
+        assert f"table NPZ **{io._NPZ_FORMAT_VERSION}**" in formats_md
+        for constant in ("TABLE_NPZ_KEYS", "DatasetError"):
             assert constant in formats_md

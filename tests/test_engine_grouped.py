@@ -6,11 +6,10 @@ bit-identical to the looped per-group schedule: every (function, size) or
 each group's noise in the same order, and both reduce through the same
 segmented-summation primitive.  These tests enforce that for fleet windows
 (all traffic models, against a per-function ``invoke_batch`` loop), for
-``measure_table`` against a per-(function, size) ``invoke_batch`` loop, the
-``measure_many`` object path and across sinks, and
-for stressed instance-pool dynamics (overlaps, keep-alive expiry); plus the
-malformed-offset / malformed-request error paths and the seeding helper's
-determinism.
+``measure_table`` against a per-(function, size) ``invoke_batch`` loop and
+the ``measure_many`` object path, and for stressed instance-pool dynamics
+(overlaps, keep-alive expiry); plus the malformed-offset / malformed-request
+error paths and the seeding helper's determinism.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, MonitoringError, SimulationError
+from repro.errors import MonitoringError, SimulationError
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.fleet import FleetConfig, FleetSimulator
@@ -529,7 +528,7 @@ class TestFleetWindowParity:
 
 
 class TestMeasureTableParity:
-    """measure_table: fused == looped object path == sharded, bit-identical."""
+    """measure_table: fused == looped == object path, bit-identical."""
 
     SIZES = (128, 512, 2048)
 
@@ -590,24 +589,6 @@ class TestMeasureTableParity:
         )
         np.testing.assert_array_equal(table.values, from_objects.values)
 
-    def test_sharded_generation_equals_in_memory(self, tmp_path):
-        config = dict(
-            n_functions=9,
-            memory_sizes_mb=self.SIZES,
-            invocations_per_size=20,
-            seed=77,
-            backend="vectorized",
-        )
-        in_memory = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**config)
-        ).generate_table()
-        sharded = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**config)
-        ).generate_table(shard_size=4, shard_directory=tmp_path / "shards")
-        np.testing.assert_array_equal(in_memory.values, sharded.to_table().values)
-        np.testing.assert_array_equal(in_memory.n_invocations, sharded.n_invocations)
-        assert in_memory.function_names == sharded.function_names
-
     def test_looped_generation_equals_fused(self, looped_blocks):
         config = DatasetGenerationConfig(
             n_functions=6, memory_sizes_mb=self.SIZES,
@@ -646,22 +627,3 @@ class TestMeasureTableParity:
         )
         listed = fresh.measure_many([cpu_function])[0]
         assert listed.execution_time_ms(256) == first.execution_time_ms(256)
-
-    def test_sink_size_order_still_validated(self, cpu_function):
-        from repro.dataset.sharding import ShardedTableWriter
-
-        harness = MeasurementHarness(
-            config=HarnessConfig(
-                memory_sizes_mb=(128, 512), max_invocations_per_size=8,
-                seed=1, backend="vectorized",
-            )
-        )
-        import tempfile
-
-        writer = ShardedTableWriter(
-            tempfile.mkdtemp(prefix="repro-grouped-test-"),
-            memory_sizes_mb=(512, 128),
-            shard_size=2,
-        )
-        with pytest.raises(ConfigurationError):
-            harness.measure_table([cpu_function], sink=writer)

@@ -563,7 +563,7 @@ class TestCohortDeduplication:
 
     def test_equal_valued_distinct_profile_objects_cohort_together(self):
         # Regression: the cohort key once used id(profile), so value-equal
-        # profiles rebuilt as distinct objects (fresh processes, shards,
+        # profiles rebuilt as distinct objects (fresh processes, runs,
         # deserialized fleets) silently fell out of their cohorts.
         import copy
 
